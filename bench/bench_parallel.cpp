@@ -2,8 +2,8 @@
 //
 // Runs the same multi-target batch at jobs ∈ {1, 2, 4, 8} and reports the
 // speedup over jobs=1, emitting one JSON document on stdout for the bench
-// trajectory. Parallelism comes from three stacked sources: target sharding,
-// the dichotomic probe fan-out, and the primal/dual race — all on one pool.
+// trajectory. Parallelism comes from two stacked sources, both on one pool:
+// target sharding and the dichotomic probe fan-out.
 //
 // Defaults are laptop-scale; JANUS_BENCH_FULL=1 uses more instances and
 // longer budgets. Note speedups require real cores: on a single-core

@@ -5,7 +5,7 @@
 // buys (docs/solver.md): each target's ladder — the nontrivial dims of its
 // default dichotomic search — is replayed through solve_lm in all four
 // configurations {scratch, session} x {inprocess off, on}. Per row it
-// records wall and solver seconds, conflicts, propagations and the six
+// records wall and solver seconds, conflicts, propagations and the three
 // simplification counters; every configuration must report the same
 // realization size (the bench exits non-zero otherwise — simplification is
 // a pure transformation, never an approximation).
@@ -13,7 +13,7 @@
 // The headline number is the total wall speedup of inprocessing on over
 // off across all rows. Scratch rows carry the full reduction (bounded
 // variable elimination included); session rows freeze their interface, so
-// they isolate the subsumption / probing / vivification share.
+// they isolate the probing / vivification share.
 //
 // Output: a human summary on stderr and one JSON document on stdout; the
 // same JSON is also written to the path in argv[1] (default
@@ -146,11 +146,9 @@ int main(int argc, char** argv) {
     results.push_back(std::move(per_config));
   }
 
-  const bool simplifier_fired =
-      sat[1].subsumed + sat[1].strengthened + sat[1].eliminated_vars +
-          sat[1].vivified + sat[1].probed_failed_lits +
-          sat[1].substituted_vars >
-      0;
+  const bool simplifier_fired = sat[1].eliminated_vars + sat[1].vivified +
+                                    sat[1].probed_failed_lits >
+                                0;
   const double wall_speedup = wall[1] > 0.0 ? wall[0] / wall[1] : 0.0;
   const double solve_speedup = solve[1] > 0.0 ? solve[0] / solve[1] : 0.0;
   const auto ratio = [](std::uint64_t off, std::uint64_t on) {
@@ -182,14 +180,11 @@ int main(int argc, char** argv) {
   for (int on = 0; on < 2; ++on) {
     emit("    \"inprocess_%s\": {\"wall_seconds\": %.3f, "
          "\"solve_seconds\": %.3f, \"conflicts\": %llu, "
-         "\"propagations\": %llu, \"subsumed\": %llu, "
-         "\"strengthened\": %llu, \"eliminated_vars\": %llu, "
-         "\"vivified\": %llu, \"probed_failed_lits\": %llu, "
-         "\"substituted_vars\": %llu},\n",
+         "\"propagations\": %llu, \"eliminated_vars\": %llu, "
+         "\"vivified\": %llu, \"probed_failed_lits\": %llu},\n",
          on != 0 ? "on" : "off", wall[on], solve[on], u(sat[on].conflicts),
-         u(sat[on].propagations), u(sat[on].subsumed), u(sat[on].strengthened),
-         u(sat[on].eliminated_vars), u(sat[on].vivified),
-         u(sat[on].probed_failed_lits), u(sat[on].substituted_vars));
+         u(sat[on].propagations), u(sat[on].eliminated_vars),
+         u(sat[on].vivified), u(sat[on].probed_failed_lits));
   }
   emit("    \"conflict_ratio\": %.4f,\n",
        ratio(sat[0].conflicts, sat[1].conflicts));
@@ -209,14 +204,12 @@ int main(int argc, char** argv) {
     for (int cfg = 0; cfg < kConfigs; ++cfg) {
       const config_totals& t = results[i][cfg];
       emit("     \"%s\": {\"wall_seconds\": %.3f, \"solve_seconds\": %.3f, "
-           "\"conflicts\": %llu, \"propagations\": %llu, \"subsumed\": %llu, "
-           "\"strengthened\": %llu, \"eliminated_vars\": %llu, "
-           "\"vivified\": %llu, \"probed_failed_lits\": %llu, "
-           "\"substituted_vars\": %llu}%s\n",
+           "\"conflicts\": %llu, \"propagations\": %llu, "
+           "\"eliminated_vars\": %llu, \"vivified\": %llu, "
+           "\"probed_failed_lits\": %llu}%s\n",
            kConfigName[cfg], t.wall, t.solve, u(t.sat.conflicts),
-           u(t.sat.propagations), u(t.sat.subsumed), u(t.sat.strengthened),
-           u(t.sat.eliminated_vars), u(t.sat.vivified),
-           u(t.sat.probed_failed_lits), u(t.sat.substituted_vars),
+           u(t.sat.propagations), u(t.sat.eliminated_vars),
+           u(t.sat.vivified), u(t.sat.probed_failed_lits),
            cfg + 1 < kConfigs ? "," : "}");
     }
     emit("%s\n", i + 1 < rows.size() ? "    ," : "");

@@ -3,7 +3,7 @@
 // A `cancel_source` owns a single atomic stop flag; `cancel_token` is the
 // read-only view handed to workers. Sources form a tree: a source constructed
 // from a parent token is cancelled automatically when the parent fires, so a
-// probe-level cancellation cascades into the primal/dual race it spawned and
+// batch- or step-level cancellation cascades into every probe it spawned and
 // from there into the in-flight SAT solvers (which poll the raw flag inside
 // their budget checks — see sat::solver::set_stop_flag).
 //

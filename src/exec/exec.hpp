@@ -1,13 +1,16 @@
 // The execution context threaded through the solve pipeline.
 //
-// Every parallel-capable layer (solve_lm's primal/dual race, the dichotomic
-// probe fan-out in janus, the batch front-end) receives one of these instead
-// of spawning threads itself, so a whole batch shares a single pool and a
+// Every parallel-capable layer (the dichotomic probe fan-out in janus, the
+// batch front-end, the backend portfolio) receives one of these instead of
+// spawning threads itself, so a whole batch shares a single pool and a
 // single cancellation tree:
 //
 //   synthesize_batch ── pool ──┬─ target task ── probe fan-out ─┬─ probe task
-//                              │                                │    └─ primal/dual race
+//                              │                                │    └─ solve_lm
 //                              └─ target task …                 └─ probe task …
+//
+// A probe's solve_lm is one single-threaded SAT solve under the probe's
+// cancellation token.
 //
 // `pool == nullptr` means "run sequentially on the calling thread"; that is
 // the jobs=1 fallback everywhere and keeps single-threaded behavior
@@ -22,10 +25,6 @@ namespace janus::exec {
 struct context {
   thread_pool* pool = nullptr;  ///< non-owning; nullptr = sequential
   cancel_token cancel;          ///< external cancellation (empty = never)
-
-  [[nodiscard]] bool parallel() const {
-    return pool != nullptr && pool->worker_count() > 0;
-  }
 
   /// The same context with a different cancellation token (used when a layer
   /// interposes its own cancel_source between parent and child work).

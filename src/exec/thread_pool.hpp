@@ -3,8 +3,8 @@
 // The pool is a plain FIFO of type-erased jobs. All higher-level fan-out goes
 // through `task_group`, whose wait() *helps*: the waiting thread executes its
 // own group's unclaimed tasks instead of blocking. This makes nested
-// parallelism deadlock-free — a pool worker that runs a probe task which in
-// turn spawns a primal/dual race group and waits on it will drain that inner
+// parallelism deadlock-free — a pool worker that runs a target task which in
+// turn spawns a probe fan-out group and waits on it will drain that inner
 // group itself if no other worker is free. It also gives the jobs=1
 // degenerate case for free: a group with a null pool runs every task inline,
 // in submission order, at run() time.
@@ -33,8 +33,6 @@ class thread_pool {
 
   thread_pool(const thread_pool&) = delete;
   thread_pool& operator=(const thread_pool&) = delete;
-
-  [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
 
   /// Enqueue a job for any worker. Jobs must not throw.
   void submit(std::function<void()> job);

@@ -103,7 +103,7 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
     // Frozen-variable protocol: every variable this probe introduced — slot
     // mapping/value variables and the group's activation literals — may be
     // referenced by later groups' clauses or used as an assumption, so the
-    // inprocessor must never eliminate or substitute it away.
+    // inprocessor must never eliminate it.
     for (sat::var v = first_new_var; v < solver_.num_vars(); ++v) {
       solver_.freeze(v);
     }

@@ -39,8 +39,8 @@
 // be UNSAT, preserving parity.
 //
 // Threading: one lm_session is single-threaded. The pool hands out sessions
-// under a lock — concurrent probes (the dichotomic fan-out, the primal/dual
-// race) each lease their own session, so jobs=1 gets perfect reuse and
+// under a lock — concurrent probes (the dichotomic fan-out) each lease
+// their own session, so jobs=1 gets perfect reuse and
 // jobs=N trades some sharing for parallelism. Cancellation is safe at every
 // point: an aborted solve() returns unknown, keeps all learned clauses, and
 // the session is immediately reusable.
@@ -64,8 +64,8 @@ namespace janus::lm {
 /// Solver configuration for LM instances: inprocessing on, EMA restarts.
 /// Scratch solves freeze nothing and get the full reduction (bounded
 /// variable elimination included); sessions freeze every interface
-/// variable, so they keep the subsumption / vivification / probing rounds
-/// but skip elimination — the split docs/solver.md describes. The
+/// variable, so they keep the probing and vivification rounds but skip
+/// elimination — the split docs/solver.md describes. The
 /// glucose-style restart policy measurably cooperates with the inprocessing
 /// rounds on the hard lattice instances (quality-driven restarts hit the
 /// round boundaries where simplification pays), where the Luby schedule

@@ -7,54 +7,32 @@ namespace janus::lm {
 
 namespace {
 
-/// Everything one problem side (primal or dual) produced: encode + solve.
-struct side_run {
-  sat::solve_result verdict = sat::solve_result::unknown;
-  bool ran = false;  ///< encoder built and solver invoked
-  bool rule_free_unsat = false;  ///< UNSAT without the heuristic rules
-  std::optional<lattice::lattice_mapping> mapping;
-  lm_encoding_stats encoding;
-  double encode_seconds = 0.0;
-  double solve_seconds = 0.0;
-  sat::solver_stats stats;
-
-  [[nodiscard]] bool definitive() const {
-    return verdict != sat::solve_result::unknown;
-  }
-};
-
-/// Encode and solve one side under `stop`; the stop flag aborts the solve
-/// mid-search (and skips the whole side when raised before the encode).
-/// Session mode leases a persistent solver; scratch mode builds fresh.
-side_run run_side(const target_spec& target, const lattice_info& info,
-                  bool dual_side, const lm_options& options, deadline budget,
-                  const exec::cancel_token& stop) {
-  side_run out;
-  if (stop.cancelled() || budget.expired()) {
-    return out;
-  }
-
+/// Encode and solve one side under `options.cancel`, which aborts the solve
+/// mid-search, filling everything but the status into `result` and
+/// returning the verdict. Session mode leases a persistent solver; scratch
+/// mode builds fresh.
+sat::solve_result solve_side(lm_result& result, const target_spec& target,
+                             const lattice_info& info, bool dual_side,
+                             const lm_options& options, deadline budget) {
+  result.used_dual_problem = dual_side;
   if (options.sessions != nullptr) {
     lm_session_pool::lease session = options.sessions->acquire(dual_side);
     lm_session::probe_result pr =
         session->probe(info, budget, options.sat_time_limit_s,
-                       options.conflict_budget, stop);
-    out.verdict = pr.verdict;
-    out.rule_free_unsat = pr.rule_free_unsat;
-    out.mapping = std::move(pr.mapping);
-    out.encoding = pr.encoding;
-    out.encode_seconds = pr.encode_seconds;
-    out.solve_seconds = pr.solve_seconds;
-    out.stats = pr.solver_delta;
-    out.ran = true;
-    return out;
+                       options.conflict_budget, options.cancel);
+    result.definitely_unrealizable = pr.rule_free_unsat;
+    result.mapping = std::move(pr.mapping);
+    result.encoding = pr.encoding;
+    result.encode_seconds = pr.encode_seconds;
+    result.solve_seconds = pr.solve_seconds;
+    result.solver = pr.solver_delta;
+    return pr.verdict;
   }
 
   stopwatch encode_clock;
   const lm_encoder encoder(target, info, dual_side, options.encode);
-  out.encoding = encoder.stats();
-  out.encode_seconds = encode_clock.seconds();
-  out.ran = true;
+  result.encoding = encoder.stats();
+  result.encode_seconds = encode_clock.seconds();
 
   JANUS_LOG(debug) << "LM " << info.d.str() << (dual_side ? " (dual)" : "")
                    << ": " << encoder.stats().num_vars << " vars, "
@@ -62,97 +40,21 @@ side_run run_side(const target_spec& target, const lattice_info& info,
 
   stopwatch solve_clock;
   sat::solver s(options.solver);
-  if (!s.add_cnf(encoder.formula())) {
-    out.verdict = sat::solve_result::unsat;
-    out.solve_seconds = solve_clock.seconds();
-    out.stats = s.stats();
-    return out;
-  }
-  s.set_deadline(budget.tightened(options.sat_time_limit_s));
-  if (options.conflict_budget >= 0) {
-    s.set_conflict_budget(options.conflict_budget);
-  }
-  s.set_stop_flag(stop.flag());
-  out.verdict = s.solve();
-  out.solve_seconds = solve_clock.seconds();
-  out.stats = s.stats();
-  if (out.verdict == sat::solve_result::sat) {
-    out.mapping = encoder.decode(s);
-  }
-  return out;
-}
-
-/// Translate one finished side into the caller-facing result.
-void fill_result(lm_result& result, side_run&& run, bool dual_side,
-                 const target_spec& target, const lm_options& options) {
-  result.used_dual_problem = dual_side;
-  result.encoding = run.encoding;
-  result.encode_seconds = run.encode_seconds;
-  result.solve_seconds = run.solve_seconds;
-  switch (run.verdict) {
-    case sat::solve_result::unsat:
-      result.status = lm_status::unrealizable;
-      result.definitely_unrealizable = run.rule_free_unsat;
-      break;
-    case sat::solve_result::unknown:
-      result.status = options.exec.cancel.cancelled() ? lm_status::cancelled
-                                                      : lm_status::unknown;
-      break;
-    case sat::solve_result::sat: {
-      JANUS_CHECK(run.mapping.has_value());
-      if (options.verify_model) {
-        JANUS_CHECK_MSG(run.mapping->realizes(target.function()),
-                        "SAT model fails ground-truth verification");
-      }
-      result.mapping = std::move(run.mapping);
-      result.status = lm_status::realizable;
-      break;
+  sat::solve_result verdict = sat::solve_result::unsat;
+  if (s.add_cnf(encoder.formula())) {
+    s.set_deadline(budget.tightened(options.sat_time_limit_s));
+    if (options.conflict_budget >= 0) {
+      s.set_conflict_budget(options.conflict_budget);
+    }
+    s.set_stop_flag(options.cancel.flag());
+    verdict = s.solve();
+    if (verdict == sat::solve_result::sat) {
+      result.mapping = encoder.decode(s);
     }
   }
-}
-
-/// Race the primal and dual encodings on two workers; first definitive
-/// answer wins and cancels the sibling. Both sides answer the same question
-/// (tests/test_duality_props.cpp verifies the equivalence), so which side
-/// wins only affects wall-clock and the concrete witness, never the verdict.
-lm_result solve_lm_race(const target_spec& target, const lattice_info& info,
-                        const lm_options& options, deadline budget,
-                        bool dual_cheaper) {
-  // Index 0 = primal, 1 = dual; each side gets its own stop source linked
-  // under the external token so an outer cancellation still reaches both.
-  exec::cancel_source stops[2] = {exec::cancel_source(options.exec.cancel),
-                                  exec::cancel_source(options.exec.cancel)};
-  side_run runs[2];
-  {
-    exec::task_group group(options.exec.pool);
-    // Submit the estimated-cheaper side first: under a saturated pool the
-    // waiter steals tasks in order, degenerating to the sequential
-    // cheaper-side-first heuristic instead of doubling the work.
-    const int order[2] = {dual_cheaper ? 1 : 0, dual_cheaper ? 0 : 1};
-    for (const int side : order) {
-      group.run([&target, &info, &options, budget, &stops, &runs, side] {
-        runs[side] = run_side(target, info, side == 1, options, budget,
-                              stops[side].token());
-        if (runs[side].definitive()) {
-          stops[1 - side].request_cancel();
-        }
-      });
-    }
-    group.wait();
-  }
-
-  lm_result result;
-  result.solver += runs[0].stats;
-  result.solver += runs[1].stats;
-  // Deterministic preference when both sides settled: the estimated-cheaper
-  // side, matching what the sequential path would have reported.
-  const int preferred = dual_cheaper ? 1 : 0;
-  const int winner = runs[preferred].definitive() ? preferred
-                     : runs[1 - preferred].definitive()
-                         ? 1 - preferred
-                         : preferred;
-  fill_result(result, std::move(runs[winner]), winner == 1, target, options);
-  return result;
+  result.solve_seconds = solve_clock.seconds();
+  result.solver = s.stats();
+  return verdict;
 }
 
 }  // namespace
@@ -160,7 +62,7 @@ lm_result solve_lm_race(const target_spec& target, const lattice_info& info,
 lm_result solve_lm(const target_spec& target, const lattice_info& info,
                    const lm_options& options, deadline budget) {
   lm_result result;
-  if (options.exec.cancel.cancelled()) {
+  if (options.cancel.cancelled()) {
     result.status = lm_status::cancelled;
     return result;
   }
@@ -205,27 +107,32 @@ lm_result solve_lm(const target_spec& target, const lattice_info& info,
     result.status = lm_status::skipped;
     return result;
   }
+  if (options.cancel.cancelled() || budget.expired()) {
+    result.status = options.cancel.cancelled() ? lm_status::cancelled
+                                               : lm_status::unknown;
+    return result;
+  }
 
-  if (options.exec.parallel() && options.race_primal_dual && primal_feasible &&
-      dual_feasible) {
-    result = solve_lm_race(target, info, options, budget,
-                           /*dual_cheaper=*/dual_estimate < primal_estimate);
-  } else {
-    // Sequential fallback: pick the side with the smaller estimated clause
-    // count and construct only that encoder — the loser is never built, so
-    // peak encode memory is one formula, not two.
-    const bool use_dual =
-        dual_feasible && (!primal_feasible || dual_estimate < primal_estimate);
-    side_run run = run_side(target, info, use_dual, options, budget,
-                            options.exec.cancel);
-    result.solver += run.stats;
-    if (!run.ran) {
-      // Cancelled or out of budget before the encode started.
-      result.status = options.exec.cancel.cancelled() ? lm_status::cancelled
-                                                      : lm_status::unknown;
-      return result;
-    }
-    fill_result(result, std::move(run), use_dual, target, options);
+  // Pick the side with the smaller estimated clause count and construct
+  // only that encoder — the other is never built.
+  const bool use_dual =
+      dual_feasible && (!primal_feasible || dual_estimate < primal_estimate);
+  switch (solve_side(result, target, info, use_dual, options, budget)) {
+    case sat::solve_result::unsat:
+      result.status = lm_status::unrealizable;
+      break;
+    case sat::solve_result::unknown:
+      result.status = options.cancel.cancelled() ? lm_status::cancelled
+                                                 : lm_status::unknown;
+      break;
+    case sat::solve_result::sat:
+      JANUS_CHECK(result.mapping.has_value());
+      if (options.verify_model) {
+        JANUS_CHECK_MSG(result.mapping->realizes(target.function()),
+                        "SAT model fails ground-truth verification");
+      }
+      result.status = lm_status::realizable;
+      break;
   }
   // Either side proving genuine unrealizability (rule-free UNSAT core)
   // extends the frontier: both sides decide the same question, so a hard

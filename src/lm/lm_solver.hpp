@@ -6,25 +6,21 @@
 // paths) decide the same question; a timeout is treated as "not realizable on
 // this lattice" by callers — the designed source of approximation.
 //
-// Execution modes (selected by `lm_options::exec`):
-//   * sequential (exec.pool == nullptr, the jobs=1 fallback): the side with
-//     the smaller estimated clause count is built and solved; the loser is
-//     never constructed, halving peak encode memory versus building both.
-//   * racing (a pool is available): both sides are encoded and solved on two
-//     workers; the first definitive SAT/UNSAT answer wins and cancels the
-//     sibling mid-solve via its stop flag. Wall-clock becomes min(primal,
-//     dual) instead of the estimate-picked side, and a wrong cheapness
-//     estimate no longer costs anything.
+// Only one side is ever built: the one with the smaller estimated clause
+// count. The other is never constructed, so peak encode memory is one
+// formula and one call is one single-threaded solve. Parallelism lives a
+// layer up (the dichotomic probe fan-out and batch sharding), where
+// independent calls run side by side.
 //
-// Orthogonally, `lm_options::sessions` switches each side from the scratch
-// encoder+solver to a leased incremental session (see lm_session.hpp): the
-// same verdicts, but learned clauses persist across the caller's probe
-// ladder and proven-unrealizable dimensions short-circuit dominated probes.
+// `lm_options::sessions` switches the side from the scratch encoder+solver
+// to a leased incremental session (see lm_session.hpp): the same verdicts,
+// but learned clauses persist across the caller's probe ladder and
+// proven-unrealizable dimensions short-circuit dominated probes.
 #pragma once
 
 #include <optional>
 
-#include "exec/exec.hpp"
+#include "exec/cancellation.hpp"
 #include "lm/encoding.hpp"
 #include "lm/lm_session.hpp"
 #include "util/timer.hpp"
@@ -36,7 +32,7 @@ enum class lm_status : std::uint8_t {
   unrealizable,  ///< UNSAT (under the active heuristic rules) or structural fail
   unknown,       ///< budget expired before an answer
   skipped,       ///< lattice too large to encode (path cap exceeded)
-  cancelled,     ///< externally cancelled (a racing sibling already answered)
+  cancelled,     ///< externally cancelled (e.g. a sibling probe already won)
 };
 
 struct lm_options {
@@ -54,12 +50,8 @@ struct lm_options {
   /// skipped outright (estimated before construction; bounds memory and
   /// encode time on wide-input targets).
   std::uint64_t max_encoding_clauses = 4'000'000;
-  /// Pool + cancellation. A null pool runs the sequential path.
-  exec::context exec;
-  /// Race primal vs dual when a pool is available and both sides fit the
-  /// clause budget; turning this off keeps the sequential heuristic even
-  /// under a pool (probe-level parallelism only).
-  bool race_primal_dual = true;
+  /// External cancellation: raising it aborts the solve mid-search.
+  exec::cancel_token cancel;
   /// Incremental sessions (nullptr = scratch mode). When set, each side of a
   /// probe leases a persistent per-(target, side) solver from this pool
   /// instead of building a fresh encoder + solver, keeping learned clauses
@@ -87,8 +79,8 @@ struct lm_result {
   lm_encoding_stats encoding;
   double encode_seconds = 0.0;
   double solve_seconds = 0.0;
-  /// Accumulated SAT counters of every solver this call ran (both race sides
-  /// when racing); batch synthesis aggregates these across targets.
+  /// SAT counters of the solve this call ran; batch synthesis aggregates
+  /// these across targets.
   sat::solver_stats solver;
 };
 

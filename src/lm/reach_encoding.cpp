@@ -50,7 +50,7 @@ std::uint64_t reach_session::ensure_slots(int cells) {
   const int first_new_var = solver_.num_vars();
   JANUS_CHECK(solver_.add_cnf(delta));
   // Core slot variables are referenced by every later dims group: freeze
-  // them so inprocessing never eliminates or substitutes them away.
+  // them so inprocessing never eliminates them.
   for (sat::var v = first_new_var; v < solver_.num_vars(); ++v) {
     solver_.freeze(v);
   }
@@ -191,7 +191,7 @@ lm_result reach_session::probe(const dims& d, const lm_options& options,
 
   const session_solve_outcome solved = solve_session_step(
       solver_, assumptions, budget, options.sat_time_limit_s,
-      options.conflict_budget, options.exec.cancel);
+      options.conflict_budget, options.cancel);
   result.solver = solved.delta;
   result.solve_seconds = solved.seconds;
 
@@ -201,8 +201,8 @@ lm_result reach_session::probe(const dims& d, const lm_options& options,
       result.definitely_unrealizable = true;  // no heuristic rules involved
       break;
     case sat::solve_result::unknown:
-      result.status = options.exec.cancel.cancelled() ? lm_status::cancelled
-                                                      : lm_status::unknown;
+      result.status = options.cancel.cancelled() ? lm_status::cancelled
+                                                 : lm_status::unknown;
       break;
     case sat::solve_result::sat: {
       lattice::lattice_mapping mapping = decode_mapping(

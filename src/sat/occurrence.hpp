@@ -1,47 +1,35 @@
-// Literal-indexed occurrence lists and clause signatures.
+// Literal-indexed occurrence lists.
 //
-// Support structures for the inprocessing engine (sat/simplify.hpp): the
-// simplifier walks "which clauses contain literal l" queries for backward
-// subsumption and bounded variable elimination, and prunes candidate pairs
-// with 64-bit Bloom signatures before paying for a full literal scan.
+// Support structure for bounded variable elimination (sat/simplify.hpp):
+// the simplifier walks "which clauses contain literal l" queries while it
+// picks and eliminates variables.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sat/types.hpp"
 
 namespace janus::sat {
 
-/// 64-bit Bloom signature over a clause's variables. If `sig(C) & ~sig(D)`
-/// is non-zero, C cannot be a sub(multi)set of D, so a subsumption check
-/// between them is skipped without touching the literals.
-[[nodiscard]] std::uint64_t clause_signature(std::span<const lit> lits);
-
-/// For each literal, the caller-defined item indices of the clauses that
-/// contain it. The simplifier stores indices into its per-round item array
-/// rather than raw clause refs, so entries stay cheap to validate lazily
-/// after clauses are strengthened, replaced, or deleted mid-round.
+/// For each literal, the clause handles (arena refs, as the simplifier
+/// stores them) of the clauses that contain it. Entries are never removed
+/// mid-round: a deleted clause stays listed and is skipped by the reader.
 class occurrence_index {
  public:
   /// Drop all lists and size the index for `num_vars` variables.
-  void reset(int num_vars);
+  void reset(int num_vars) {
+    lists_.clear();
+    lists_.resize(static_cast<std::size_t>(num_vars) * 2);
+  }
 
-  /// Record that the item (clause) `item` contains literal `l`.
-  void add(lit l, std::uint32_t item) {
-    lists_[static_cast<std::size_t>(l.code())].push_back(item);
+  /// Record that the clause `clause` contains literal `l`.
+  void add(lit l, std::uint32_t clause) {
+    lists_[static_cast<std::size_t>(l.code())].push_back(clause);
   }
 
   [[nodiscard]] const std::vector<std::uint32_t>& operator[](lit l) const {
     return lists_[static_cast<std::size_t>(l.code())];
-  }
-  [[nodiscard]] std::vector<std::uint32_t>& operator[](lit l) {
-    return lists_[static_cast<std::size_t>(l.code())];
-  }
-
-  [[nodiscard]] int num_vars() const {
-    return static_cast<int>(lists_.size() / 2);
   }
 
  private:

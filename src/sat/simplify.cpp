@@ -9,10 +9,6 @@ namespace {
 inline bool is_true(lbool v) { return v == lbool::true_value; }
 inline bool is_false(lbool v) { return v == lbool::false_value; }
 inline bool is_undef(lbool v) { return v == lbool::undef; }
-
-// Backward subsumption skips a clause whose cheapest pivot literal still has
-// an occurrence list longer than this (quadratic blowup guard).
-constexpr std::size_t kOccScanLimit = 1000;
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -76,22 +72,9 @@ void simplifier::cleanup_list(std::vector<solver::clause_ref>& list) {
   list.resize(j);
 }
 
-std::uint32_t simplifier::add_item(solver::clause_ref c) {
-  const auto idx = static_cast<std::uint32_t>(items_.size());
-  const std::span<const lit> lits = s_.clause_span(c);
-  items_.push_back({c, clause_signature(lits)});
-  for (const lit l : lits) {
-    occ_[l].push_back(idx);
-  }
-  return idx;
-}
-
-void simplifier::build_occurrence() {
-  occ_.reset(s_.num_vars());
-  items_.clear();
-  items_.reserve(s_.clauses_.size());
-  for (const solver::clause_ref c : s_.clauses_) {
-    (void)add_item(c);
+void simplifier::index_clause(solver::clause_ref c) {
+  for (const lit l : s_.clause_span(c)) {
+    occ_.add(l, c);
   }
 }
 
@@ -111,350 +94,6 @@ void simplifier::finish() {
 }
 
 // --------------------------------------------------------------------------
-// Subsumption and self-subsuming resolution
-// --------------------------------------------------------------------------
-
-void simplifier::push_work(std::uint32_t idx) {
-  if (idx >= in_work_.size()) {
-    in_work_.resize(static_cast<std::size_t>(idx) + 1, 0);
-  }
-  if (in_work_[idx] != 0) {
-    return;
-  }
-  in_work_[idx] = 1;
-  work_.push_back(idx);
-}
-
-void simplifier::drain_subsumption() {
-  while (work_head_ < work_.size()) {
-    if (!s_.ok_ || s_.stopped_externally()) {
-      return;
-    }
-    const std::uint32_t idx = work_[work_head_++];
-    in_work_[idx] = 0;
-    backward_subsume(idx);
-  }
-}
-
-void simplifier::backward_subsume(std::uint32_t idx) {
-  const solver::clause_ref cref = items_[idx].cref;
-  if (s_.clause_deleted(cref)) {
-    return;
-  }
-  const std::span<const lit> base = s_.clause_span(cref);
-  // Pivot on the literal with the shortest occurrence list: every superset
-  // of `base` must show up there.
-  lit best = base[0];
-  for (const lit l : base) {
-    if (occ_[l].size() < occ_[best].size()) {
-      best = l;
-    }
-  }
-  if (occ_[best].size() > kOccScanLimit) {
-    return;
-  }
-  next_stamp();
-  for (const lit l : base) {
-    stamp(l);
-  }
-  const std::size_t base_size = base.size();
-  const std::uint64_t sig = items_[idx].sig;
-  auto& cands = occ_[best];
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    const std::uint32_t cand = cands[i];
-    if (cand == idx || s_.clause_deleted(items_[cand].cref)) {
-      continue;
-    }
-    if ((sig & ~items_[cand].sig) != 0) {
-      continue;  // base mentions a variable the candidate cannot contain
-    }
-    const std::span<const lit> other = s_.clause_span(items_[cand].cref);
-    if (other.size() < base_size) {
-      continue;
-    }
-    // base subsumes other, or self-subsumes with exactly one flipped literal.
-    std::size_t hits = 0;
-    lit flip = lit_undef;
-    bool fail = false;
-    for (const lit x : other) {
-      if (stamped(x)) {
-        ++hits;
-      } else if (stamped(~x)) {
-        if (!flip.is_undef()) {
-          fail = true;
-          break;
-        }
-        flip = x;
-        ++hits;
-      }
-    }
-    if (fail || hits < base_size) {
-      continue;
-    }
-    if (flip.is_undef()) {
-      s_.remove_clause(items_[cand].cref);
-      ++s_.stats_.subsumed;
-    } else {
-      strengthen_item(cand, flip);
-      if (!s_.ok_) {
-        return;
-      }
-    }
-  }
-}
-
-void simplifier::strengthen_item(std::uint32_t idx, lit p) {
-  item& it = items_[idx];
-  const solver::clause_ref c = it.cref;
-  const std::uint32_t size = s_.clause_size(c);
-  ++s_.stats_.strengthened;
-  s_.detach_clause(c);
-  if (size == 2) {
-    // Shrinks to a unit: promote it to a top-level fact, drop the clause.
-    const lit* lits = s_.clause_lits(c);
-    const lit u = lits[0] == p ? lits[1] : lits[0];
-    s_.arena_[c] |= 1u;  // mark deleted (already detached above)
-    s_.arena_wasted_ += 1 + (s_.clause_learnt(c) ? 2 : 0) + size;
-    ++s_.stats_.removed_clauses;
-    if (is_false(s_.value(u))) {
-      s_.ok_ = false;
-      return;
-    }
-    if (is_undef(s_.value(u))) {
-      s_.unchecked_enqueue(u, solver::cr_undef);
-      if (s_.propagate() != solver::cr_undef) {
-        s_.ok_ = false;
-        return;
-      }
-      clear_level0_reasons();
-    }
-    return;
-  }
-  lit* lits = s_.clause_lits(c);
-  std::uint32_t w = 0;
-  for (std::uint32_t k = 0; k < size; ++k) {
-    if (lits[k] != p) {
-      lits[w++] = lits[k];
-    }
-  }
-  JANUS_CHECK(w == size - 1);
-  s_.arena_[c] = (w << 3) | (s_.arena_[c] & 7u);
-  s_.arena_wasted_ += 1;
-  s_.attach_clause(c);
-  it.sig = clause_signature(s_.clause_span(c));
-  push_work(idx);  // a strengthened clause can subsume further clauses
-}
-
-// --------------------------------------------------------------------------
-// Equivalent-literal substitution (SCCs of the binary implication graph)
-// --------------------------------------------------------------------------
-
-void simplifier::substitute_equivalents() {
-  const auto nn = static_cast<std::size_t>(s_.num_vars()) * 2;
-  std::vector<std::vector<std::int32_t>> adj(nn);
-  const auto add_edges = [&](const std::vector<solver::clause_ref>& list) {
-    for (const solver::clause_ref c : list) {
-      if (s_.clause_deleted(c) || s_.clause_size(c) != 2) {
-        continue;
-      }
-      const lit* cl = s_.clause_lits(c);
-      adj[static_cast<std::size_t>((~cl[0]).code())].push_back(cl[1].code());
-      adj[static_cast<std::size_t>((~cl[1]).code())].push_back(cl[0].code());
-    }
-  };
-  add_edges(s_.clauses_);
-  add_edges(s_.learnts_);
-
-  // Iterative Tarjan over the 2n literal nodes.
-  std::vector<std::int32_t> index(nn, -1);
-  std::vector<std::int32_t> low(nn, 0);
-  std::vector<std::int32_t> comp(nn, -1);
-  std::vector<std::int32_t> scc_stack;
-  std::vector<std::uint8_t> on_stack(nn, 0);
-  std::vector<std::vector<std::int32_t>> comps;
-  std::int32_t next_index = 0;
-  struct frame {
-    std::int32_t node;
-    std::size_t edge;
-  };
-  std::vector<frame> dfs;
-  for (std::size_t root = 0; root < nn; ++root) {
-    if (index[root] != -1 || adj[root].empty()) {
-      continue;  // nodes without successors cannot close a cycle from here
-    }
-    dfs.push_back({static_cast<std::int32_t>(root), 0});
-    while (!dfs.empty()) {
-      frame& f = dfs.back();
-      const std::int32_t u = f.node;
-      if (f.edge == 0) {
-        index[u] = low[u] = next_index++;
-        scc_stack.push_back(u);
-        on_stack[static_cast<std::size_t>(u)] = 1;
-      }
-      bool descended = false;
-      while (f.edge < adj[static_cast<std::size_t>(u)].size()) {
-        const std::int32_t v = adj[static_cast<std::size_t>(u)][f.edge++];
-        if (index[static_cast<std::size_t>(v)] == -1) {
-          dfs.push_back({v, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[static_cast<std::size_t>(v)] != 0) {
-          low[static_cast<std::size_t>(u)] =
-              std::min(low[static_cast<std::size_t>(u)],
-                       index[static_cast<std::size_t>(v)]);
-        }
-      }
-      if (descended) {
-        continue;
-      }
-      if (low[static_cast<std::size_t>(u)] == index[static_cast<std::size_t>(u)]) {
-        comps.emplace_back();
-        while (true) {
-          const std::int32_t w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = 0;
-          comp[static_cast<std::size_t>(w)] =
-              static_cast<std::int32_t>(comps.size()) - 1;
-          comps.back().push_back(w);
-          if (w == u) {
-            break;
-          }
-        }
-      }
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        const std::int32_t parent = dfs.back().node;
-        low[static_cast<std::size_t>(parent)] =
-            std::min(low[static_cast<std::size_t>(parent)],
-                     low[static_cast<std::size_t>(u)]);
-      }
-    }
-  }
-
-  bool changed = false;
-  for (const auto& members : comps) {
-    if (members.size() < 2) {
-      continue;
-    }
-    // Representative: prefer a frozen variable (it cannot be mapped away),
-    // then the lowest variable index. Detect l ~ ¬l contradictions.
-    std::int32_t rep_code = -1;
-    for (const std::int32_t code : members) {
-      const lit l = lit::from_code(code);
-      if (comp[static_cast<std::size_t>((~l).code())] ==
-          comp[static_cast<std::size_t>(code)]) {
-        s_.ok_ = false;  // l equivalent to its own negation: unsatisfiable
-        return;
-      }
-      if (rep_code == -1) {
-        rep_code = code;
-        continue;
-      }
-      const lit r = lit::from_code(rep_code);
-      const bool lf = s_.is_frozen(l.variable());
-      const bool rf = s_.is_frozen(r.variable());
-      if ((lf && !rf) || (lf == rf && l.variable() < r.variable())) {
-        rep_code = code;
-      }
-    }
-    const lit rep = lit::from_code(rep_code);
-    for (const std::int32_t code : members) {
-      const lit m = lit::from_code(code);
-      const var v = m.variable();
-      if (v == rep.variable() || s_.is_frozen(v) || s_.is_eliminated(v)) {
-        continue;
-      }
-      if (s_.subst_[static_cast<std::size_t>(v)] != lit::make(v)) {
-        continue;  // already mapped (the mirrored SCC lists it again)
-      }
-      const lit target = m.negated() ? ~rep : rep;
-      s_.subst_[static_cast<std::size_t>(v)] = target;
-      auto& ev = s_.reconstruction_.emplace_back();
-      ev.v = v;
-      ev.equivalent = target;
-      ++s_.stats_.substituted_vars;
-      changed = true;
-    }
-  }
-  if (!changed) {
-    return;
-  }
-  rewrite_list(s_.clauses_);
-  if (s_.ok_) {
-    rewrite_list(s_.learnts_);
-  }
-}
-
-void simplifier::rewrite_list(std::vector<solver::clause_ref>& list) {
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (!s_.ok_) {
-      return;
-    }
-    const solver::clause_ref c = list[i];
-    if (s_.clause_deleted(c)) {
-      continue;
-    }
-    const lit* cl = s_.clause_lits(c);
-    const std::uint32_t size = s_.clause_size(c);
-    bool touched = false;
-    for (std::uint32_t k = 0; k < size && !touched; ++k) {
-      touched = s_.subst_[static_cast<std::size_t>(cl[k].variable())] !=
-                lit::make(cl[k].variable());
-    }
-    if (!touched) {
-      continue;
-    }
-    tmp_.clear();
-    next_stamp();
-    bool drop = false;
-    for (std::uint32_t k = 0; k < size; ++k) {
-      const lit m = s_.resolve_subst(cl[k]);
-      if (is_true(s_.value(m)) || stamped(~m)) {
-        drop = true;  // satisfied, or tautological after the merge
-        break;
-      }
-      if (is_false(s_.value(m)) || stamped(m)) {
-        continue;
-      }
-      stamp(m);
-      tmp_.push_back(m);
-    }
-    if (drop) {
-      s_.remove_clause(c);
-      continue;
-    }
-    if (tmp_.empty()) {
-      s_.remove_clause(c);
-      s_.ok_ = false;
-      return;
-    }
-    if (tmp_.size() == 1) {
-      const lit u = tmp_[0];
-      s_.remove_clause(c);
-      s_.unchecked_enqueue(u, solver::cr_undef);
-      if (s_.propagate() != solver::cr_undef) {
-        s_.ok_ = false;
-        return;
-      }
-      clear_level0_reasons();
-      continue;
-    }
-    const bool learnt = s_.clause_learnt(c);
-    const std::uint32_t lbd = learnt ? s_.clause_lbd(c) : 0;
-    const float act = learnt ? s_.clause_activity(c) : 0.0F;
-    s_.remove_clause(c);
-    const solver::clause_ref fresh = s_.alloc_clause(tmp_, learnt);
-    if (learnt) {
-      s_.set_clause_lbd(fresh, lbd);
-      s_.clause_activity(fresh) = act;
-    }
-    s_.attach_clause(fresh);
-    list[i] = fresh;
-  }
-}
-
-// --------------------------------------------------------------------------
 // Bounded variable elimination (preprocessing only)
 // --------------------------------------------------------------------------
 
@@ -463,7 +102,7 @@ void simplifier::eliminate_variables() {
   std::vector<std::pair<std::uint32_t, var>> order;
   order.reserve(static_cast<std::size_t>(n));
   for (var v = 0; v < n; ++v) {
-    if (s_.frozen_[static_cast<std::size_t>(v)] != 0 || s_.var_discarded(v) ||
+    if (s_.is_frozen(v) || s_.is_eliminated(v) ||
         !is_undef(s_.value(v))) {
       continue;
     }
@@ -508,22 +147,11 @@ void simplifier::eliminate_variables() {
   }
 }
 
-void simplifier::gather(lit l, std::vector<std::uint32_t>& out) {
+void simplifier::gather(lit l, std::vector<solver::clause_ref>& out) {
   out.clear();
-  for (const std::uint32_t idx : occ_[l]) {
-    const solver::clause_ref c = items_[idx].cref;
-    if (s_.clause_deleted(c)) {
-      continue;
-    }
-    bool found = false;
-    for (const lit x : s_.clause_span(c)) {
-      if (x == l) {
-        found = true;
-        break;
-      }
-    }
-    if (found) {
-      out.push_back(idx);  // entries whose literal was strengthened away drop
+  for (const solver::clause_ref c : occ_[l]) {
+    if (!s_.clause_deleted(c)) {
+      out.push_back(c);
     }
   }
 }
@@ -571,16 +199,15 @@ void simplifier::try_eliminate(var v) {
   // the clause *count* shrinks.
   std::size_t max_parent_len = 0;
   for (const auto* half : {&pos_, &neg_}) {
-    for (const std::uint32_t idx : *half) {
-      max_parent_len =
-          std::max(max_parent_len,
-                   static_cast<std::size_t>(s_.clause_size(items_[idx].cref)));
+    for (const solver::clause_ref c : *half) {
+      max_parent_len = std::max(max_parent_len,
+                                static_cast<std::size_t>(s_.clause_size(c)));
     }
   }
   resolvents_.clear();
-  for (const std::uint32_t pi : pos_) {
-    for (const std::uint32_t ni : neg_) {
-      if (!resolve_pair(items_[pi].cref, items_[ni].cref, v, tmp_)) {
+  for (const solver::clause_ref p : pos_) {
+    for (const solver::clause_ref n : neg_) {
+      if (!resolve_pair(p, n, v, tmp_)) {
         continue;
       }
       if (tmp_.size() >
@@ -599,15 +226,15 @@ void simplifier::try_eliminate(var v) {
   auto& ev = s_.reconstruction_.emplace_back();
   ev.v = v;
   for (const auto* half : {&pos_, &neg_}) {
-    for (const std::uint32_t idx : *half) {
-      const std::span<const lit> cl = s_.clause_span(items_[idx].cref);
+    for (const solver::clause_ref c : *half) {
+      const std::span<const lit> cl = s_.clause_span(c);
       ev.clause_sizes.push_back(static_cast<std::uint32_t>(cl.size()));
       ev.clause_lits.insert(ev.clause_lits.end(), cl.begin(), cl.end());
     }
   }
   for (const auto* half : {&pos_, &neg_}) {
-    for (const std::uint32_t idx : *half) {
-      s_.remove_clause(items_[idx].cref);
+    for (const solver::clause_ref c : *half) {
+      s_.remove_clause(c);
     }
   }
   s_.eliminated_[static_cast<std::size_t>(v)] = 1;
@@ -619,7 +246,7 @@ void simplifier::try_eliminate(var v) {
       return;  // resolvents refuted the formula
     }
     if (s_.clauses_.size() > nc) {
-      push_work(add_item(s_.clauses_.back()));
+      index_clause(s_.clauses_.back());
     }
     if (s_.trail_.size() != t0) {
       clear_level0_reasons();  // a unit resolvent propagated
@@ -802,54 +429,21 @@ void simplifier::preprocess() {
   if (!settle()) {
     return;
   }
-  substitute_equivalents();
-  if (!s_.ok_ || !settle()) {
-    return;
-  }
-  build_occurrence();
-  for (std::uint32_t i = 0; i < items_.size(); ++i) {
-    push_work(i);
-  }
-  drain_subsumption();
-  if (!s_.ok_) {
-    return;
+  occ_.reset(s_.num_vars());
+  for (const solver::clause_ref c : s_.clauses_) {
+    index_clause(c);
   }
   eliminate_variables();
   if (!s_.ok_) {
     return;
   }
-  drain_subsumption();  // resolvents queued during elimination
-  if (!s_.ok_) {
-    return;
-  }
-  s_.subsumption_queue_.clear();  // everything above was just processed
   finish();
 }
 
 void simplifier::inprocess() {
   JANUS_CHECK(s_.decision_level() == 0);
-  lit_stamp_.assign(static_cast<std::size_t>(s_.num_vars()) * 2, 0);
   if (!settle()) {
     return;
-  }
-  substitute_equivalents();
-  if (!s_.ok_ || !settle()) {
-    return;
-  }
-  build_occurrence();
-  if (!s_.subsumption_queue_.empty()) {
-    std::vector<solver::clause_ref> queued = std::move(s_.subsumption_queue_);
-    s_.subsumption_queue_.clear();
-    std::sort(queued.begin(), queued.end());
-    for (std::uint32_t i = 0; i < items_.size(); ++i) {
-      if (std::binary_search(queued.begin(), queued.end(), items_[i].cref)) {
-        push_work(i);
-      }
-    }
-    drain_subsumption();
-    if (!s_.ok_) {
-      return;
-    }
   }
   // Probing and vivification run speculative propagations whose cancel paths
   // would overwrite the search's saved phases with probe polarities; snapshot

@@ -3,29 +3,25 @@
 // Two entry points, both invoked by solver::solve() at decision level 0:
 //
 //   * preprocess() — once per solver lifetime, before the first search:
-//     top-level cleanup, equivalent-literal substitution (SCCs of the binary
-//     implication graph), full backward subsumption with self-subsuming
-//     resolution, and bounded variable elimination (BVE). BVE runs ONLY
-//     here: a clause added after the first solve() may mention any unfrozen
-//     variable, so elimination cannot soundly repeat. Incremental sessions
-//     freeze every interface variable (activation literals, encoding
-//     variables future clause groups reference); scratch solves freeze
-//     nothing and get the full reduction.
+//     top-level cleanup and bounded variable elimination (BVE). BVE runs
+//     ONLY here: a clause added after the first solve() may mention any
+//     unfrozen variable, so elimination cannot soundly repeat. Incremental
+//     sessions freeze every interface variable (activation literals,
+//     encoding variables future clause groups reference); scratch solves
+//     freeze nothing and get the full reduction.
 //
 //   * inprocess() — at restart boundaries on a conflict-count schedule:
-//     cleanup, equivalent-literal substitution, backward subsumption seeded
-//     from the clauses added since the last round, ticket-scheduled
-//     failed-literal probing on the binary implication graph, and
-//     vivification of high-LBD learned clauses.
+//     cleanup, ticket-scheduled failed-literal probing on the binary
+//     implication graph, and vivification of high-LBD learned clauses.
 //
-// Frozen variables (solver::freeze) are exempt from elimination and from
-// being substituted away, which keeps assumption literals and
-// final-conflict extraction sound; see docs/solver.md for the protocol.
+// Frozen variables (solver::freeze) are exempt from elimination, which
+// keeps assumption literals and final-conflict extraction sound; see
+// docs/solver.md for the protocol.
 //
 // A simplifier is a stack-constructed friend of the solver: persistent
-// state (frozen/eliminated flags, the substitution map, the model
-// reconstruction stack, scheduling counters) lives on the solver, while
-// this class only holds per-round scratch.
+// state (frozen/eliminated flags, the model reconstruction stack,
+// scheduling counters) lives on the solver, while this class only holds
+// per-round scratch.
 #pragma once
 
 #include <cstdint>
@@ -52,34 +48,17 @@ class simplifier {
   void inprocess();
 
  private:
-  /// A clause under consideration this round, paired with its signature.
-  struct item {
-    solver::clause_ref cref;
-    std::uint64_t sig;
-  };
-
   // round plumbing
   [[nodiscard]] bool settle();
   void cleanup_list(std::vector<solver::clause_ref>& list);
   void clear_level0_reasons();
-  void build_occurrence();
-  std::uint32_t add_item(solver::clause_ref c);
+  void index_clause(solver::clause_ref c);
   void finish();
-
-  // subsumption / self-subsuming resolution
-  void push_work(std::uint32_t idx);
-  void drain_subsumption();
-  void backward_subsume(std::uint32_t idx);
-  void strengthen_item(std::uint32_t idx, lit p);
-
-  // equivalent-literal substitution
-  void substitute_equivalents();
-  void rewrite_list(std::vector<solver::clause_ref>& list);
 
   // bounded variable elimination
   void eliminate_variables();
   void try_eliminate(var v);
-  void gather(lit l, std::vector<std::uint32_t>& out);
+  void gather(lit l, std::vector<solver::clause_ref>& out);
   [[nodiscard]] bool resolve_pair(solver::clause_ref p, solver::clause_ref n,
                                   var v, std::vector<lit>& out);
 
@@ -96,14 +75,10 @@ class simplifier {
 
   solver& s_;
   occurrence_index occ_;
-  std::vector<item> items_;
-  std::vector<std::uint32_t> work_;  // pending backward-subsumption items
-  std::size_t work_head_ = 0;
-  std::vector<std::uint8_t> in_work_;
   std::vector<std::uint64_t> lit_stamp_;
   std::uint64_t stamp_ = 0;
-  std::vector<std::uint32_t> pos_;  // per-var scratch for BVE
-  std::vector<std::uint32_t> neg_;
+  std::vector<solver::clause_ref> pos_;  // per-var scratch for BVE
+  std::vector<solver::clause_ref> neg_;
   std::vector<std::vector<lit>> resolvents_;
   std::vector<lit> tmp_;
 };

@@ -30,7 +30,6 @@ var solver::new_var() {
   heap_index_.push_back(-1);
   frozen_.push_back(0);
   eliminated_.push_back(0);
-  subst_.push_back(lit::make(v));
   watches_.emplace_back();
   watches_.emplace_back();
   heap_insert(v);
@@ -42,16 +41,6 @@ void solver::freeze(var v) {
   JANUS_CHECK_MSG(!is_eliminated(v),
                   "variable was already eliminated; freeze it before solve()");
   frozen_[static_cast<std::size_t>(v)] = 1;
-}
-
-lit solver::resolve_subst(lit l) const {
-  while (true) {
-    const lit s = subst_[static_cast<std::size_t>(l.variable())];
-    if (s == lit::make(l.variable())) {
-      return l;
-    }
-    l = l.negated() ? ~s : s;
-  }
 }
 
 void solver::decay_heuristics(bool rephase) {
@@ -148,7 +137,7 @@ bool solver::add_clause(std::span<const lit> lits) {
     JANUS_CHECK_MSG(!is_eliminated(l.variable()),
                     "clause over an eliminated variable; freeze interface "
                     "variables before solve()");
-    copy.push_back(resolve_subst(l));
+    copy.push_back(l);
   }
   std::sort(copy.begin(), copy.end());
   std::vector<lit> cleaned;
@@ -183,9 +172,6 @@ bool solver::add_clause(std::span<const lit> lits) {
   const clause_ref c = alloc_clause(cleaned, /*learnt=*/false);
   clauses_.push_back(c);
   attach_clause(c);
-  if (options_.inprocess) {
-    subsumption_queue_.push_back(c);  // next round subsumes against/with it
-  }
   return true;
 }
 
@@ -542,7 +528,7 @@ void solver::heap_sift_down(int i) {
 lit solver::pick_branch_lit() {
   while (!heap_.empty()) {
     const var v = heap_pop();
-    if (is_undef(value(v)) && !var_discarded(v)) {
+    if (is_undef(value(v)) && !is_eliminated(v)) {
       const bool phase = options_.phase_saving
                              ? saved_phase_[static_cast<std::size_t>(v)] != 0
                              : options_.default_phase;
@@ -652,16 +638,6 @@ void solver::garbage_collect() {
   }
   for (auto& c : learnts_) {
     c = relocate(c);
-  }
-  {
-    // Pending subsumption work survives GC; deleted entries drop out.
-    std::size_t j = 0;
-    for (const clause_ref c : subsumption_queue_) {
-      if (!clause_deleted(c)) {
-        subsumption_queue_[j++] = forward.at(c);
-      }
-    }
-    subsumption_queue_.resize(j);
   }
   for (std::size_t v = 0; v < reason_.size(); ++v) {
     clause_ref& r = reason_[v];
@@ -847,16 +823,9 @@ void solver::extend_model() {
   };
   for (auto it = reconstruction_.rbegin(); it != reconstruction_.rend(); ++it) {
     const auto vi = static_cast<std::size_t>(it->v);
-    if (it->equivalent != lit_undef) {
-      const lit rep = it->equivalent;
-      const lbool rv = apply_sign(
-          model_[static_cast<std::size_t>(rep.variable())], rep.negated());
-      model_[vi] = rv == lbool::undef ? to_lbool(options_.default_phase) : rv;
-      continue;
-    }
-    // BVE event: pick the polarity that satisfies every clause the
-    // elimination removed (at most one polarity is forced when the
-    // resolvents are satisfied, which the model guarantees).
+    // Pick the polarity that satisfies every clause the elimination removed
+    // (at most one polarity is forced when the resolvents are satisfied,
+    // which the model guarantees).
     lbool forced = lbool::undef;
     std::size_t pos = 0;
     for (const std::uint32_t size : it->clause_sizes) {
@@ -882,49 +851,24 @@ void solver::extend_model() {
   }
 }
 
-void solver::translate_conflict_core() {
-  if (assumptions_orig_.empty()) {
-    return;
-  }
-  std::vector<lit> original;
-  original.reserve(conflict_core_.size());
-  for (std::size_t i = 0; i < assumptions_orig_.size(); ++i) {
-    const lit neg = ~assumptions_[i];
-    if (std::find(conflict_core_.begin(), conflict_core_.end(), neg) ==
-        conflict_core_.end()) {
-      continue;
-    }
-    const lit o = ~assumptions_orig_[i];
-    if (std::find(original.begin(), original.end(), o) == original.end()) {
-      original.push_back(o);
-    }
-  }
-  conflict_core_ = std::move(original);
-}
-
 solve_result solver::solve(std::span<const lit> assumptions) {
   model_.clear();
   conflict_core_.clear();
   if (!ok_) {
     return solve_result::unsat;
   }
-  // Map assumptions through the equivalence substitution (originals are kept
-  // so conflict_core() reports in the caller's terms) and freeze their
-  // variables against elimination in this and future inprocessing rounds.
-  assumptions_orig_.assign(assumptions.begin(), assumptions.end());
-  assumptions_.clear();
-  assumptions_.reserve(assumptions_orig_.size());
-  for (const lit a : assumptions_orig_) {
+  // Freeze assumption variables against elimination in this and future
+  // inprocessing rounds.
+  assumptions_.assign(assumptions.begin(), assumptions.end());
+  for (const lit a : assumptions_) {
     JANUS_CHECK_MSG(!a.is_undef() && a.variable() < num_vars(),
                     "assumption over unallocated variable");
     JANUS_CHECK_MSG(!is_eliminated(a.variable()),
                     "assumption over an eliminated variable; freeze interface "
                     "variables before solve()");
-    const lit m = resolve_subst(a);
     if (options_.inprocess) {
-      freeze(m.variable());
+      freeze(a.variable());
     }
-    assumptions_.push_back(m);
   }
   deadline_hit_ = false;
   conflict_limit_abs_ =
@@ -1019,8 +963,6 @@ solve_result solver::solve(std::span<const lit> assumptions) {
 
   if (status == solve_result::sat) {
     extend_model();
-  } else if (status == solve_result::unsat) {
-    translate_conflict_core();
   }
   if (options_.save_trail && ok_) {
     cancel_until(assumption_root_level());

@@ -38,8 +38,8 @@
 //     assumption literals, activation literals of guarded clause groups,
 //     variables referenced by clauses that will be added later — must be
 //     freeze()-d before the next solve() call. Frozen variables are exempt
-//     from elimination and substitution. Assumption variables of the current
-//     call are frozen automatically. See docs/solver.md.
+//     from elimination. Assumption variables of the current call are frozen
+//     automatically. See docs/solver.md.
 //
 // Implemented techniques:
 //   * two-literal watching with blocker literals,
@@ -52,8 +52,7 @@
 //   * top-level simplification and arena garbage collection,
 //   * solving under assumptions (with final-conflict extraction),
 //   * inprocessing (sat/simplify.hpp): preprocessing-time bounded variable
-//     elimination, subsumption / self-subsuming resolution, equivalent-
-//     literal substitution, failed-literal probing and clause vivification.
+//     elimination, failed-literal probing and clause vivification.
 #pragma once
 
 #include <algorithm>
@@ -87,15 +86,12 @@ struct solver_stats {
   std::uint64_t removed_clauses = 0;
   std::uint64_t minimized_literals = 0;
   // Inprocessing counters (sat/simplify.cpp).
-  std::uint64_t subsumed = 0;            ///< clauses removed by subsumption
-  std::uint64_t strengthened = 0;        ///< self-subsuming resolution steps
   std::uint64_t eliminated_vars = 0;     ///< variables removed by BVE
   std::uint64_t vivified = 0;            ///< learned clauses shrunk by vivification
   std::uint64_t probed_failed_lits = 0;  ///< failed literals found by probing
-  std::uint64_t substituted_vars = 0;    ///< variables merged by equivalence
 };
 
-/// Accumulate counters across solver instances (per-probe, per-race side,
+/// Accumulate counters across solver instances (per-probe and
 /// per-batch-target aggregation in the parallel engine).
 inline solver_stats& operator+=(solver_stats& lhs, const solver_stats& rhs) {
   lhs.decisions += rhs.decisions;
@@ -105,12 +101,9 @@ inline solver_stats& operator+=(solver_stats& lhs, const solver_stats& rhs) {
   lhs.learned_clauses += rhs.learned_clauses;
   lhs.removed_clauses += rhs.removed_clauses;
   lhs.minimized_literals += rhs.minimized_literals;
-  lhs.subsumed += rhs.subsumed;
-  lhs.strengthened += rhs.strengthened;
   lhs.eliminated_vars += rhs.eliminated_vars;
   lhs.vivified += rhs.vivified;
   lhs.probed_failed_lits += rhs.probed_failed_lits;
-  lhs.substituted_vars += rhs.substituted_vars;
   return lhs;
 }
 
@@ -127,12 +120,9 @@ inline solver_stats operator-(const solver_stats& after,
   d.learned_clauses = after.learned_clauses - before.learned_clauses;
   d.removed_clauses = after.removed_clauses - before.removed_clauses;
   d.minimized_literals = after.minimized_literals - before.minimized_literals;
-  d.subsumed = after.subsumed - before.subsumed;
-  d.strengthened = after.strengthened - before.strengthened;
   d.eliminated_vars = after.eliminated_vars - before.eliminated_vars;
   d.vivified = after.vivified - before.vivified;
   d.probed_failed_lits = after.probed_failed_lits - before.probed_failed_lits;
-  d.substituted_vars = after.substituted_vars - before.substituted_vars;
   return d;
 }
 
@@ -197,11 +187,11 @@ class solver {
 
   /// Frozen-variable protocol (only meaningful with inprocessing on, no-op
   /// cost otherwise). A frozen variable is exempt from bounded variable
-  /// elimination and equivalent-literal substitution, so it stays valid in
-  /// later add_clause() calls, as a future assumption, and in
-  /// conflict_core() output. Incremental sessions freeze their activation
-  /// literals and every encoding variable that future clause groups may
-  /// reference; one-shot (scratch) solves freeze nothing.
+  /// elimination, so it stays valid in later add_clause() calls, as a
+  /// future assumption, and in conflict_core() output. Incremental sessions
+  /// freeze their activation literals and every encoding variable that
+  /// future clause groups may reference; one-shot (scratch) solves freeze
+  /// nothing.
   void freeze(var v);
   void freeze(lit l) { freeze(l.variable()); }
   [[nodiscard]] bool is_frozen(var v) const {
@@ -260,9 +250,7 @@ class solver {
   /// negation of one assumption that the refutation used). Valid until the
   /// next solve() call. An empty core means the formula is unsat regardless
   /// of any assumptions. lm_session reads it to tell rule-induced UNSAT from
-  /// genuine unrealizability (core-guided dimension pruning). Entries are
-  /// reported in terms of the assumption literals as passed by the caller,
-  /// even when equivalent-literal substitution remapped them internally.
+  /// genuine unrealizability (core-guided dimension pruning).
   [[nodiscard]] const std::vector<lit>& conflict_core() const { return conflict_core_; }
 
   [[nodiscard]] const solver_stats& stats() const { return stats_; }
@@ -372,29 +360,15 @@ class solver {
   }
 
   // --- inprocessing support ----------------------------------------------
-  /// A variable that left the formula (eliminated or substituted away);
-  /// never picked as a decision.
-  [[nodiscard]] bool var_discarded(var v) const {
-    return eliminated_[static_cast<std::size_t>(v)] != 0 ||
-           subst_[static_cast<std::size_t>(v)] != lit::make(v);
-  }
-  /// Follow the equivalence-substitution chain for `l` to its live
-  /// representative literal (identity when nothing was substituted).
-  [[nodiscard]] lit resolve_subst(lit l) const;
-  /// Replay the reconstruction stack so model_ also assigns eliminated and
-  /// substituted variables consistently with the original formula.
+  /// Replay the reconstruction stack so model_ also assigns eliminated
+  /// variables consistently with the original formula.
   void extend_model();
-  /// Rewrite conflict_core_ in terms of the caller's assumption literals
-  /// (they may have been remapped by substitution at solve() entry).
-  void translate_conflict_core();
 
-  /// One entry per eliminated or substituted variable, in chronological
-  /// order. Substitution events carry the representative literal; BVE events
-  /// carry the variable's removed clauses (flattened) for reconstruction.
+  /// One entry per eliminated variable, in chronological order, carrying
+  /// the variable's removed clauses (flattened) for reconstruction.
   struct reconstruction_event {
     var v = var_undef;
-    lit equivalent = lit_undef;           // valid for substitution events
-    std::vector<lit> clause_lits;         // BVE: removed clauses, flattened
+    std::vector<lit> clause_lits;
     std::vector<std::uint32_t> clause_sizes;
   };
 
@@ -453,18 +427,15 @@ class solver {
   std::vector<std::uint64_t> lbd_seen_;
   std::uint64_t lbd_stamp_ = 0;
 
-  std::vector<lit> assumptions_;        // after substitution mapping
-  std::vector<lit> assumptions_orig_;   // as passed by the caller
-  std::vector<lit> prev_assumptions_;   // trail saving: last call's mapped set
+  std::vector<lit> assumptions_;
+  std::vector<lit> prev_assumptions_;   // trail saving: last call's set
   std::vector<lit> conflict_core_;
   std::vector<lbool> model_;
 
   // Inprocessing state (see sat/simplify.cpp).
   std::vector<std::uint8_t> frozen_;
   std::vector<std::uint8_t> eliminated_;
-  std::vector<lit> subst_;              // per-var representative (identity if live)
   std::vector<reconstruction_event> reconstruction_;
-  std::vector<clause_ref> subsumption_queue_;  // clauses added since last round
   bool preprocessed_ = false;
   bool inprocess_scheduled_ = false;  ///< first round booked (see solve())
   std::uint64_t next_inprocess_ = 0;

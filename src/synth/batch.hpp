@@ -4,8 +4,8 @@
 // synthesis service faces the same shape (every output of a PLA, every
 // function of a netlist). `synthesize_batch` shards the targets across one
 // shared thread pool; each target additionally fans out its own dichotomic
-// probes and primal/dual races on the *same* pool (the task-group engine is
-// nesting-safe), so small batches still saturate the workers.
+// probes on the *same* pool (the task-group engine is nesting-safe), so
+// small batches still saturate the workers.
 //
 // Determinism: results are reported in input order, and every per-target
 // result is bit-identical in bounds and solution size to a jobs=1 run of the
@@ -32,7 +32,8 @@ struct batch_options {
   /// default) keeps the classic path bit-identical.
   std::vector<std::string> backends;
 
-  /// Pool width shared by target sharding, probe fan-out and races.
+  /// Pool width shared by target sharding, probe fan-out and portfolio
+  /// races.
   int jobs = 1;
 
   /// Wall-clock budget per target; <= 0 means base.time_limit_s.

@@ -84,7 +84,7 @@ janus_synthesizer::bounds_report janus_synthesizer::compute_bounds(
   // External cancellation must reach the constructions' embedded LM solves
   // too, or a Ctrl-C during the bounds phase waits out their SAT budgets.
   lm::lm_options bound_lm = options_.lm;
-  bound_lm.exec.cancel = options_.exec.cancel;
+  bound_lm.cancel = options_.exec.cancel;
   const auto cancelled = [&] { return options_.exec.cancel.cancelled(); };
   if (options_.use_dp) {
     consider(build_dp(target));
@@ -166,8 +166,7 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
   std::vector<std::uint8_t> pruned(n, 0);
   if (sessions_ != nullptr) {
     lm::lm_options lm_options = options_.lm;
-    lm_options.exec.pool = nullptr;
-    lm_options.exec.cancel = options_.exec.cancel;
+    lm_options.cancel = options_.exec.cancel;
     lm_options.sessions = sessions_;
     for (std::size_t i = 0; i < n; ++i) {
       if (sessions_->known_unrealizable(candidates[i])) {
@@ -183,8 +182,7 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
     // realizable candidate — by construction the same winner the parallel
     // branch selects.
     lm::lm_options lm_options = options_.lm;
-    lm_options.exec.pool = nullptr;
-    lm_options.exec.cancel = options_.exec.cancel;  // aborts in-flight solves
+    lm_options.cancel = options_.exec.cancel;  // aborts in-flight solves
     lm_options.sessions = sessions_;
     for (std::size_t i = 0; i < n; ++i) {
       if (pruned[i] != 0) {
@@ -217,8 +215,7 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
       }
       group.run([&, i] {
         lm::lm_options lm_options = options_.lm;
-        lm_options.exec.pool = pool;
-        lm_options.exec.cancel = stops[i].token();
+        lm_options.cancel = stops[i].token();
         lm_options.sessions = sessions_;
         outcomes[i] = probe(target, candidates[i], budget, lm_options);
         probed[i] = 1;
@@ -458,7 +455,7 @@ std::optional<bound_solution> janus_synthesizer::divide_and_synthesize(
   lm::lm_options probe_options = options_.lm;
   probe_options.sat_time_limit_s =
       std::min(probe_options.sat_time_limit_s, 20.0);
-  probe_options.exec.cancel = options_.exec.cancel;  // Ctrl-C reaches the ladder
+  probe_options.cancel = options_.exec.cancel;  // Ctrl-C reaches the ladder
   lm::lm_session_pool g_sessions(gt, options_.lm.encode, options_.lm.solver);
   lm::lm_session_pool h_sessions(ht, options_.lm.encode, options_.lm.solver);
   int bc = combined.size();

@@ -35,8 +35,8 @@ struct janus_options {
   double time_limit_s = 6.0 * 3600.0; ///< overall budget (paper: 6h CPU)
   std::size_t max_paths = 200'000;    ///< per-lattice path cap
 
-  /// Worker threads for the dichotomic probe fan-out and the primal/dual
-  /// race. 1 (the default) keeps the fully sequential pipeline. When
+  /// Worker threads for the dichotomic probe fan-out. 1 (the default)
+  /// keeps the fully sequential pipeline. When
   /// `exec.pool` is null and jobs > 1, run() creates its own pool; batch
   /// synthesis instead shares one pool across targets via `exec`.
   int jobs = 1;
@@ -108,7 +108,7 @@ struct janus_result {
   double seconds = 0.0;
   bool hit_time_limit = false;
   std::vector<probe_record> probes;
-  /// SAT counters summed over every dichotomic probe (all race sides).
+  /// SAT counters summed over every dichotomic probe.
   sat::solver_stats sat_totals;
   /// Dichotomic-ladder probes answered from the UNSAT frontier without
   /// solving (session mode). Counts the run-level pool only — like

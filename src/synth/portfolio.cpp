@@ -1,6 +1,5 @@
 #include "synth/portfolio.hpp"
 
-#include <atomic>
 #include <memory>
 #include <utility>
 
@@ -28,9 +27,9 @@ portfolio_result run_portfolio(const lm::target_spec& target,
 
   // The caller's pool when there is one (batch mode: backends nest on it);
   // otherwise our own, one worker per backend, so a standalone racing call
-  // actually races. Sequential (compare mode without a pool) still works:
-  // tasks run inline in priority order and a definitive finisher cancels
-  // everything behind it before it starts.
+  // actually races. Sequential (no pool) still works: tasks run inline in
+  // priority order and a definitive finisher cancels everything behind it
+  // before it starts.
   std::unique_ptr<exec::thread_pool> own_pool;
   exec::thread_pool* pool = ctx.pool;
   if (pool == nullptr && options.race && names.size() > 1) {
@@ -46,9 +45,6 @@ portfolio_result run_portfolio(const lm::target_spec& target,
   for (std::size_t i = 0; i < names.size(); ++i) {
     sources.emplace_back(ctx.cancel);
   }
-  // lint: unguarded(CAS claim ticket; the whole point is lock-freedom)
-  std::atomic<int> claimed{-1};
-
   {
     exec::task_group group(pool);
     for (std::size_t i = 0; i < names.size(); ++i) {
@@ -71,15 +67,10 @@ portfolio_result run_portfolio(const lm::target_spec& target,
         request.base = options.base;
         entry = engine->run(request);
         if (options.race && entry.definitive()) {
-          int expected = -1;
-          if (claimed.compare_exchange_strong(expected,
-                                              static_cast<int>(i))) {
-            // First definitive finisher: stop every sibling mid-solve.
-            for (std::size_t j = 0; j < sources.size(); ++j) {
-              if (j != i) {
-                sources[j].request_cancel();
-              }
-            }
+          // Entries ranked after i can no longer win; those before it run
+          // on, so the winner never depends on completion order.
+          for (std::size_t j = i + 1; j < sources.size(); ++j) {
+            sources[j].request_cancel();
           }
         }
         JANUS_LOG(debug) << "portfolio: " << names[i] << " -> "
@@ -92,8 +83,7 @@ portfolio_result run_portfolio(const lm::target_spec& target,
     group.wait();
   }
 
-  // Rank-based selection among the definitive finishers: independent of
-  // completion order, like the probe fan-out's winner rule.
+  // The lowest-ranked definitive entry wins (the probe fan-out's rule).
   for (std::size_t i = 0; i < portfolio.entries.size(); ++i) {
     if (portfolio.entries[i].definitive()) {
       portfolio.winner = static_cast<int>(i);

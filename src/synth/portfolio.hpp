@@ -1,17 +1,16 @@
 // The portfolio: several synthesis backends racing on one target.
 //
-// Reuses the exec engine's racing pattern (the same shape as solve_lm's
-// primal/dual race and the dichotomic probe fan-out): every requested
+// Reuses the dichotomic probe fan-out's racing pattern: every requested
 // backend gets its own cancel_source linked under the caller's token and
-// fans out on the shared pool; the FIRST backend to return a definitive
-// answer (a converged, verified realization) cancels every sibling
-// mid-solve, so the portfolio's wall-clock tracks the fastest engine
-// instead of the sum.
+// fans out on the shared pool. A definitive answer (a converged, verified
+// realization) at rank i cancels every backend ranked after i mid-solve —
+// they can no longer win — while the ones ranked before it run on.
 //
 // Winner selection is completion-order independent: among the backends that
-// did finish definitively, the one earliest in the request order (the
-// registry's priority order by default) wins — the same rank-based rule the
-// probe fan-out uses. With `race = false` (the CLI's compare mode, the fuzz
+// finished definitively, the one earliest in the request order (the
+// registry's priority order by default) wins. Since nothing ranked below
+// the eventual winner is ever cancelled by a sibling, a racing call picks
+// the same winner as compare mode. With `race = false` (the CLI's compare mode, the fuzz
 // axis, per-backend bench columns) nothing is cancelled: every backend runs
 // to completion and the full cost table is reproducible run to run.
 #pragma once

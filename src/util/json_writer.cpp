@@ -160,12 +160,9 @@ std::string to_json(const sat::solver_stats& stats) {
       .field("learned_clauses", stats.learned_clauses)
       .field("removed_clauses", stats.removed_clauses)
       .field("minimized_literals", stats.minimized_literals)
-      .field("subsumed", stats.subsumed)
-      .field("strengthened", stats.strengthened)
       .field("eliminated_vars", stats.eliminated_vars)
       .field("vivified", stats.vivified)
       .field("probed_failed_lits", stats.probed_failed_lits)
-      .field("substituted_vars", stats.substituted_vars)
       .end_object();
   return w.str();
 }

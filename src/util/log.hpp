@@ -20,7 +20,8 @@ namespace detail {
 void log_emit(log_level level, const std::string& message);
 }  // namespace detail
 
-/// Stream-style log statement: JANUS_LOG(info) << "probe " << size;
+/// One log statement's buffer; emitted on destruction. Built only through
+/// JANUS_LOG, and only when the level is enabled.
 class log_line {
  public:
   explicit log_line(log_level level) : level_(level) {}
@@ -30,9 +31,7 @@ class log_line {
 
   template <typename T>
   log_line& operator<<(const T& value) {
-    if (level_ >= get_log_level()) {
-      os_ << value;
-    }
+    os_ << value;
     return *this;
   }
 
@@ -43,4 +42,11 @@ class log_line {
 
 }  // namespace janus
 
-#define JANUS_LOG(level) ::janus::log_line(::janus::log_level::level)
+/// Stream-style log statement: JANUS_LOG(info) << "probe " << size;
+/// Below the threshold it costs one level load: no stream is built and no
+/// operand is evaluated. The macro ends in an if/else, so brace any `if`
+/// whose body is a JANUS_LOG statement.
+#define JANUS_LOG(level)                                      \
+  if (::janus::log_level::level < ::janus::get_log_level()) { \
+  } else                                                      \
+    ::janus::log_line(::janus::log_level::level)

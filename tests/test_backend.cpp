@@ -13,6 +13,7 @@
 #include "backend/chain.hpp"
 #include "backend/esop.hpp"
 #include "backend/lattice_backend.hpp"
+#include "instances/table2.hpp"
 #include "synth/batch.hpp"
 #include "synth/portfolio.hpp"
 
@@ -289,6 +290,35 @@ TEST(portfolio, compare_mode_runs_every_backend_to_completion) {
   EXPECT_TRUE(result.entries[0].optimal);
   EXPECT_EQ(result.entries[1].cost(), 3);
   EXPECT_EQ(result.entries[2].cost(), 4);
+}
+
+TEST(portfolio, racing_winner_matches_compare_mode) {
+  // A definitive entry cancels only the entries ranked after it, so the
+  // race never cancels the entry compare mode would pick: the winner is the
+  // same on every run, whatever order the four workers finish in.
+  const target_spec target = instances::make_table2_instance("c17_01");
+  synth::portfolio_options compare;
+  compare.race = false;
+  compare.base.lm.sat_time_limit_s = 60.0;
+  const synth::portfolio_result reference =
+      synth::run_portfolio(target, compare);
+  int expected = -1;
+  for (std::size_t i = 0; i < reference.entries.size(); ++i) {
+    if (reference.entries[i].definitive()) {
+      expected = static_cast<int>(i);
+      break;
+    }
+  }
+  ASSERT_GE(expected, 0);
+  ASSERT_EQ(reference.winner, expected);
+
+  synth::portfolio_options racing;
+  racing.jobs = 4;
+  racing.base.lm.sat_time_limit_s = 60.0;
+  for (int run = 0; run < 20; ++run) {
+    const synth::portfolio_result raced = synth::run_portfolio(target, racing);
+    EXPECT_EQ(raced.winner, expected) << "run " << run;
+  }
 }
 
 TEST(portfolio, external_cancellation_cascades) {

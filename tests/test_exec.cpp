@@ -133,15 +133,9 @@ TEST(Cancellation, LinkingUnderFiredParentStartsCancelled) {
   EXPECT_TRUE(child.token().cancelled());
 }
 
-TEST(Context, ParallelRequiresRealWorkers) {
-  context sequential;
-  EXPECT_FALSE(sequential.parallel());
-  thread_pool empty(0);
-  sequential.pool = &empty;
-  EXPECT_FALSE(sequential.parallel());
+TEST(Context, WithCancelKeepsThePool) {
   thread_pool pool(2);
-  context parallel{&pool, {}};
-  EXPECT_TRUE(parallel.parallel());
+  const context parallel{&pool, {}};
   cancel_source source;
   const context recancelled = parallel.with_cancel(source.token());
   EXPECT_EQ(recancelled.pool, &pool);

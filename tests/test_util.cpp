@@ -211,5 +211,15 @@ TEST(Log, LevelFiltering) {
   SUCCEED();
 }
 
+TEST(Log, DisabledStatementEvaluatesNoOperand) {
+  const log_level before = get_log_level();
+  set_log_level(log_level::warn);
+  int calls = 0;
+  const auto f = [&calls] { return ++calls; };
+  JANUS_LOG(debug) << f();
+  set_log_level(before);
+  EXPECT_EQ(calls, 0);
+}
+
 }  // namespace
 }  // namespace janus

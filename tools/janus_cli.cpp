@@ -18,14 +18,13 @@
 //   -t SECONDS     overall time limit (default 60)
 //   -s SECONDS     per-SAT-call limit (default 10)
 //   -j N, --jobs N worker threads (default 1: fully sequential). N >= 2
-//                  enables the dichotomic probe fan-out, the primal/dual
-//                  race, and batch sharding.
+//                  enables the dichotomic probe fan-out and batch sharding.
 //   --incremental / --no-incremental
 //                  incremental SAT sessions across the dichotomic ladder
 //                  (default: on). See docs/architecture.md.
 //   --inprocess / --no-inprocess
-//                  SAT inprocessing (subsumption, variable elimination,
-//                  vivification, probing; default: on). See docs/solver.md.
+//                  SAT inprocessing (variable elimination, vivification,
+//                  probing; default: on). See docs/solver.md.
 //   --restart luby|ema
 //                  solver restart policy (default: ema)
 //   --stats        print the aggregated SAT solver counters after the run
@@ -139,14 +138,11 @@ void print_solver_stats(const janus::sat::solver_stats& s) {
       "solver: %llu conflicts, %llu decisions, %llu propagations, "
       "%llu restarts\n"
       "        %llu learned, %llu removed, %llu minimized lits\n"
-      "        inprocessing: %llu subsumed, %llu strengthened, "
-      "%llu vars eliminated,\n"
-      "        %llu vivified, %llu failed lits probed, %llu vars "
-      "substituted\n",
+      "        inprocessing: %llu vars eliminated, %llu vivified, "
+      "%llu failed lits probed\n",
       u(s.conflicts), u(s.decisions), u(s.propagations), u(s.restarts),
       u(s.learned_clauses), u(s.removed_clauses), u(s.minimized_literals),
-      u(s.subsumed), u(s.strengthened), u(s.eliminated_vars), u(s.vivified),
-      u(s.probed_failed_lits), u(s.substituted_vars));
+      u(s.eliminated_vars), u(s.vivified), u(s.probed_failed_lits));
 }
 
 /// The command's solution store: loads `--cache FILE` on construction when
@@ -457,12 +453,6 @@ int cmd_map(const cli_config& cfg) {
   janus::lm::lm_options o;
   o.sat_time_limit_s = cfg.sat_limit;
   o.solver = make_solver_options(cfg);
-  std::unique_ptr<janus::exec::thread_pool> pool;
-  if (cfg.jobs > 1) {
-    pool = std::make_unique<janus::exec::thread_pool>(
-        static_cast<std::size_t>(cfg.jobs));
-    o.exec.pool = pool.get();  // enables the primal/dual race
-  }
   const auto r = janus::lm::solve_lm(
       target, cache.get({rows, cols}), o,
       janus::deadline::in_seconds(cfg.time_limit));
