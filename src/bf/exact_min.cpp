@@ -1,6 +1,7 @@
 #include "bf/exact_min.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
 
 #include "bf/espresso.hpp"
@@ -56,13 +57,17 @@ std::optional<std::vector<cube>> all_primes(const truth_table& f,
     std::unordered_set<cube, cube_hash> next;
     std::unordered_set<cube, cube_hash> merged;
     for (const cube& c : current) {
-      for (const literal l : c.literals()) {
+      // The cube's variables in ascending order, as c.literals() lists
+      // them, without allocating a vector per cube.
+      for (std::uint32_t vars = c.pos_mask() | c.neg_mask(); vars != 0;
+           vars &= vars - 1) {
+        const int v = std::countr_zero(vars);
         cube partner = c;
-        partner.add_literal(l.variable, !l.negated);
+        partner.add_literal(v, !c.has_literal(v, /*negated=*/true));
         if (current.count(partner) != 0) {
           merged.insert(c);
           cube wider = c;
-          wider.drop_variable(l.variable);
+          wider.drop_variable(v);
           next.insert(wider);
           if (next.size() > max_primes) {
             return std::nullopt;

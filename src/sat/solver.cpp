@@ -21,6 +21,8 @@ inline bool is_undef(lbool v) { return v == lbool::undef; }
 var solver::new_var() {
   const var v = static_cast<var>(assigns_.size());
   assigns_.push_back(lbool::undef);
+  lit_values_.push_back(lbool::undef);
+  lit_values_.push_back(lbool::undef);
   saved_phase_.push_back(options_.default_phase ? 1 : 0);
   level_.push_back(0);
   reason_.push_back(cr_undef);
@@ -64,6 +66,7 @@ solver::clause_ref solver::alloc_clause(std::span<const lit> lits, bool learnt) 
   const std::size_t extra = learnt ? 2 : 0;
   const auto c = static_cast<clause_ref>(arena_.size());
   const std::size_t needed = arena_.size() + 1 + extra + lits.size();
+  JANUS_CHECK_MSG(needed <= binary_tag, "clause arena exceeds 2^31 words");
   if (needed > arena_.capacity()) {
     // Grow geometrically; a bare reserve(needed) would reallocate the whole
     // arena on every allocation.
@@ -78,20 +81,36 @@ solver::clause_ref solver::alloc_clause(std::span<const lit> lits, bool learnt) 
   for (const lit l : lits) {
     arena_.push_back(static_cast<std::uint32_t>(l.code()));
   }
+  if (!learnt) {
+    originals_since_sweep_ = true;
+  }
   return c;
 }
 
 bool solver::locked(clause_ref c) const {
-  const lit first = clause_lits(c)[0];
-  const var v = first.variable();
-  return is_true(value(first)) && reason_[static_cast<std::size_t>(v)] == c;
+  // A binary reason may hold its implied literal at either position.
+  const lit* lits = clause_lits(c);
+  const auto is_reason_of = [&](lit l) {
+    return is_true(value(l)) &&
+           reason_[static_cast<std::size_t>(l.variable())] == c;
+  };
+  return is_reason_of(lits[0]) || (clause_size(c) == 2 && is_reason_of(lits[1]));
+}
+
+const lit* solver::reason_lits(clause_ref c, lit implied) {
+  lit* lits = clause_lits(c);
+  if (lits[0] != implied) {
+    std::swap(lits[0], lits[1]);
+  }
+  return lits;
 }
 
 void solver::attach_clause(clause_ref c) {
   const lit* lits = clause_lits(c);
   JANUS_CHECK(clause_size(c) >= 2);
-  watches_[static_cast<std::size_t>((~lits[0]).code())].push_back({c, lits[1]});
-  watches_[static_cast<std::size_t>((~lits[1]).code())].push_back({c, lits[0]});
+  const clause_ref tagged = clause_size(c) == 2 ? c | binary_tag : c;
+  watches_[static_cast<std::size_t>((~lits[0]).code())].push_back({tagged, lits[1]});
+  watches_[static_cast<std::size_t>((~lits[1]).code())].push_back({tagged, lits[0]});
 }
 
 void solver::detach_clause(clause_ref c) {
@@ -99,7 +118,7 @@ void solver::detach_clause(clause_ref c) {
   for (int w = 0; w < 2; ++w) {
     auto& list = watches_[static_cast<std::size_t>((~lits[w]).code())];
     for (std::size_t i = 0; i < list.size(); ++i) {
-      if (list[i].cref == c) {
+      if ((list[i].cref & ~binary_tag) == c) {
         list[i] = list.back();
         list.pop_back();
         break;
@@ -195,6 +214,8 @@ void solver::unchecked_enqueue(lit p, clause_ref from) {
   const auto v = static_cast<std::size_t>(p.variable());
   JANUS_CHECK(is_undef(assigns_[v]));
   assigns_[v] = to_lbool(!p.negated());
+  lit_values_[static_cast<std::size_t>(p.code())] = lbool::true_value;
+  lit_values_[static_cast<std::size_t>((~p).code())] = lbool::false_value;
   level_[v] = decision_level();
   reason_[v] = from;
   trail_.push_back(p);
@@ -206,13 +227,37 @@ solver::clause_ref solver::propagate() {
     const lit p = trail_[qhead_++];
     ++stats_.propagations;
     auto& ws = watches_[static_cast<std::size_t>(p.code())];
-    std::size_t i = 0;
-    std::size_t j = 0;
+    // Raw cursors: no call below reallocates `ws` (a moved watch always
+    // lands on another literal's list).
+    watcher* i = ws.data();
+    watcher* j = i;
+    watcher* const end = i + ws.size();
     const lit false_lit = ~p;
-    while (i < ws.size()) {
-      const watcher w = ws[i];
-      if (is_true(value(w.blocker))) {
-        ws[j++] = ws[i++];
+    while (i != end) {
+      const watcher w = *i++;
+      const lbool blocker_value = value(w.blocker);
+      if (is_true(blocker_value)) {
+        *j++ = w;
+        continue;
+      }
+      if ((w.cref & binary_tag) != 0) {
+        // Binary clause: the blocker is the other literal.
+        const clause_ref c = w.cref & ~binary_tag;
+        *j++ = w;
+        if (is_false(blocker_value)) {
+          // Leave the falsified watch at position 1, as a full visit would.
+          lit* lits = clause_lits(c);
+          if (lits[0] == false_lit) {
+            std::swap(lits[0], lits[1]);
+          }
+          confl = c;
+          qhead_ = trail_.size();
+          while (i != end) {
+            *j++ = *i++;
+          }
+        } else {
+          unchecked_enqueue(w.blocker, c);
+        }
         continue;
       }
       const clause_ref c = w.cref;
@@ -220,11 +265,10 @@ solver::clause_ref solver::propagate() {
       if (lits[0] == false_lit) {
         std::swap(lits[0], lits[1]);
       }
-      ++i;
       const lit first = lits[0];
       const watcher keep{c, first};
       if (first != w.blocker && is_true(value(first))) {
-        ws[j++] = keep;
+        *j++ = keep;
         continue;
       }
       const std::uint32_t size = clause_size(c);
@@ -241,18 +285,18 @@ solver::clause_ref solver::propagate() {
       if (moved) {
         continue;
       }
-      ws[j++] = keep;
+      *j++ = keep;
       if (is_false(value(first))) {
         confl = c;
         qhead_ = trail_.size();
-        while (i < ws.size()) {
-          ws[j++] = ws[i++];
+        while (i != end) {
+          *j++ = *i++;
         }
       } else {
         unchecked_enqueue(first, c);
       }
     }
-    ws.resize(j);
+    ws.resize(static_cast<std::size_t>(j - ws.data()));
   }
   return confl;
 }
@@ -266,6 +310,8 @@ void solver::cancel_until(int target_level) {
     const lit p = trail_[static_cast<std::size_t>(i)];
     const auto v = static_cast<std::size_t>(p.variable());
     assigns_[v] = lbool::undef;
+    lit_values_[static_cast<std::size_t>(p.code())] = lbool::undef;
+    lit_values_[static_cast<std::size_t>((~p).code())] = lbool::undef;
     if (options_.phase_saving) {
       saved_phase_[v] = p.negated() ? 0 : 1;
     }
@@ -305,7 +351,7 @@ void solver::analyze(clause_ref confl, std::vector<lit>& out_learnt,
         set_clause_lbd(c, fresh);
       }
     }
-    const lit* cl = clause_lits(c);
+    const lit* cl = p == lit_undef ? clause_lits(c) : reason_lits(c, p);
     const std::uint32_t size = clause_size(c);
     for (std::uint32_t k = (p == lit_undef) ? 0 : 1; k < size; ++k) {
       const lit q = cl[k];
@@ -374,7 +420,7 @@ bool solver::literal_redundant(lit p) {
   if (c == cr_undef) {
     return false;
   }
-  const lit* cl = clause_lits(c);
+  const lit* cl = reason_lits(c, ~p);
   const std::uint32_t size = clause_size(c);
   for (std::uint32_t k = 1; k < size; ++k) {
     const var v = cl[k].variable();
@@ -404,7 +450,7 @@ void solver::analyze_final(lit p) {
         conflict_core_.push_back(~trail_[static_cast<std::size_t>(i)]);
       }
     } else {
-      const lit* cl = clause_lits(r);
+      const lit* cl = reason_lits(r, trail_[static_cast<std::size_t>(i)]);
       const std::uint32_t size = clause_size(r);
       for (std::uint32_t k = 1; k < size; ++k) {
         if (level(cl[k].variable()) > 0) {
@@ -421,10 +467,16 @@ std::uint32_t solver::compute_lbd(std::span<const lit> lits) {
   ++lbd_stamp_;
   std::uint32_t distinct = 0;
   for (const lit l : lits) {
-    const int lvl = level(l.variable());
-    if (lvl > 0 &&
-        lbd_seen_[static_cast<std::size_t>(lvl) % lbd_seen_.size()] != lbd_stamp_) {
-      lbd_seen_[static_cast<std::size_t>(lvl) % lbd_seen_.size()] = lbd_stamp_;
+    const auto lvl = static_cast<std::size_t>(level(l.variable()));
+    if (lvl == 0) {
+      continue;
+    }
+    // Levels past num_vars (dummy assumption levels) share slots modulo the
+    // table size; the division is paid only then.
+    std::uint64_t& seen =
+        lbd_seen_[lvl < lbd_seen_.size() ? lvl : lvl % lbd_seen_.size()];
+    if (seen != lbd_stamp_) {
+      seen = lbd_stamp_;
       ++distinct;
     }
   }
@@ -583,6 +635,12 @@ void solver::reduce_learnts() {
 
 void solver::simplify_top_level() {
   JANUS_CHECK(decision_level() == 0);
+  // A clause turns satisfied at level 0 only through a new level-0 fact:
+  // learnt clauses hold no level-0 literal at birth, and add_clause() drops
+  // clauses satisfied at level 0. So unless the level-0 trail grew or an
+  // original clause arrived since the last sweep, a sweep removes nothing.
+  // Garbage collection below still runs every time: it rebuilds the watch
+  // lists, so skipping it would change the search.
   const auto sweep = [this](std::vector<clause_ref>& list) {
     std::size_t j = 0;
     for (const clause_ref c : list) {
@@ -603,8 +661,12 @@ void solver::simplify_top_level() {
     }
     list.resize(j);
   };
-  sweep(clauses_);
-  sweep(learnts_);
+  if (trail_.size() != swept_trail_size_ || originals_since_sweep_) {
+    swept_trail_size_ = trail_.size();
+    originals_since_sweep_ = false;
+    sweep(clauses_);
+    sweep(learnts_);
+  }
   garbage_collect_if_needed();
 }
 

@@ -42,14 +42,18 @@
 //     automatically. See docs/solver.md.
 //
 // Implemented techniques:
-//   * two-literal watching with blocker literals,
+//   * two-literal watching with blocker literals; binary clauses propagate
+//     from the watcher alone, without reading the clause arena,
+//   * per-literal value bytes (no sign branch on a value check),
 //   * first-UIP conflict analysis with basic (self-subsumption) minimization,
 //   * VSIDS variable activities with phase saving,
 //   * Luby restarts, plus a glucose-style LBD-EMA restart policy,
 //   * tiered learned-clause management (core / tier2 / local by LBD, with
 //     usage-protected tier2 clauses),
 //   * assumption-aware trail saving between solve() calls,
-//   * top-level simplification and arena garbage collection,
+//   * top-level simplification (skipped when no new level-0 fact or
+//     original clause arrived since the last sweep) and arena garbage
+//     collection,
 //   * solving under assumptions (with final-conflict extraction),
 //   * inprocessing (sat/simplify.hpp): preprocessing-time bounded variable
 //     elimination, failed-literal probing and clause vivification.
@@ -266,6 +270,10 @@ class solver {
 
   using clause_ref = std::uint32_t;
   static constexpr clause_ref cr_undef = 0xffffffffu;
+  /// Set on the clause_ref of a watcher whose clause is binary: its blocker
+  /// is the clause's other literal, so propagate() never reads the arena.
+  /// Clause refs therefore stay below 2^31 (checked in alloc_clause).
+  static constexpr clause_ref binary_tag = 0x80000000u;
 
   // --- clause arena -------------------------------------------------------
   // Layout per clause: header | [activity, lbd if learnt] | literal codes.
@@ -322,10 +330,16 @@ class solver {
 
   // --- assignment / trail -------------------------------------------------
   [[nodiscard]] lbool value(var v) const { return assigns_[static_cast<std::size_t>(v)]; }
-  [[nodiscard]] lbool value(lit l) const { return apply_sign(value(l.variable()), l.negated()); }
+  [[nodiscard]] lbool value(lit l) const { return lit_values_[static_cast<std::size_t>(l.code())]; }
   [[nodiscard]] int decision_level() const { return static_cast<int>(trail_lim_.size()); }
   [[nodiscard]] int level(var v) const { return level_[static_cast<std::size_t>(v)]; }
   [[nodiscard]] bool locked(clause_ref c) const;
+  /// Literals of reason clause `c` with the literal it implied at position
+  /// 0, where conflict analysis expects it. Only binary reasons can be out
+  /// of order (propagate() implies through them without reordering their
+  /// literals); they are turned in place, restoring the order a full clause
+  /// visit leaves.
+  [[nodiscard]] const lit* reason_lits(clause_ref c, lit implied);
 
   void unchecked_enqueue(lit p, clause_ref from);
   [[nodiscard]] clause_ref propagate();
@@ -408,6 +422,7 @@ class solver {
   std::vector<std::vector<watcher>> watches_;  // indexed by lit code
 
   std::vector<lbool> assigns_;
+  std::vector<lbool> lit_values_;  // value per lit code, in step with assigns_
   std::vector<std::uint8_t> saved_phase_;
   std::vector<int> level_;
   std::vector<clause_ref> reason_;
@@ -454,6 +469,11 @@ class solver {
   bool deadline_hit_ = false;
   std::uint64_t next_reduce_ = 0;
   int reductions_done_ = 0;
+
+  // simplify_top_level() sweep guard: level-0 trail size at the last sweep,
+  // and whether an original clause was allocated since.
+  std::size_t swept_trail_size_ = 0;
+  bool originals_since_sweep_ = false;
 };
 
 }  // namespace janus::sat

@@ -428,6 +428,9 @@ std::optional<bound_solution> janus_synthesizer::divide_and_synthesize(
   janus_options child_options = options_;
   child_options.ds_depth = depth - 1;
   child_options.use_ds = depth - 1 > 0;
+  // Share the path cache: the parent enumerates the same small grids (IPS,
+  // structural LB, the ladder), and paths depend only on dims and max_paths.
+  child_options.lattice_info = &cache();
   child_options.time_limit_s =
       std::min(budget.remaining_seconds() * 0.35, options_.time_limit_s);
   const target_spec gt = target_spec::from_cover(

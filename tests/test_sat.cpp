@@ -379,6 +379,28 @@ TEST(Solver, ReusableAfterSat) {
   EXPECT_EQ(s.solve(), solve_result::unsat);
 }
 
+TEST(Solver, NewTopLevelUnitSweepsTheClausesItSatisfies) {
+  // The satisfied-clause sweep at restarts is skipped when no level-0 fact
+  // arrived since the last one; a new unit must still trigger it.
+  solver s;
+  const var a = s.new_var();
+  constexpr std::uint64_t k = 6;
+  for (std::uint64_t i = 0; i < k; ++i) {
+    const var b = s.new_var();
+    const var c = s.new_var();
+    s.add_clause({lit::make(a), lit::make(b), lit::make(c, true)});
+    s.add_clause({lit::make(b, true), lit::make(c)});
+  }
+  ASSERT_EQ(s.solve(), solve_result::sat);
+  s.add_clause({lit::make(a)});
+  const std::uint64_t before = s.stats().removed_clauses;
+  ASSERT_EQ(s.solve(), solve_result::sat);
+  EXPECT_GE(s.stats().removed_clauses - before, k);
+  const std::uint64_t after = s.stats().removed_clauses;
+  ASSERT_EQ(s.solve(), solve_result::sat);
+  EXPECT_EQ(s.stats().removed_clauses, after);
+}
+
 TEST(Dimacs, RoundTrip) {
   cnf f;
   f.new_vars(4);

@@ -151,6 +151,29 @@ TEST(Bounds, LowerBoundSeesProductCounts) {
   EXPECT_GE(lb, 4);
 }
 
+TEST(Bounds, DivideAndSynthesizeIgnoresWhichPathCacheItUses) {
+  // DS children probe through the parent's path cache; paths depend only on
+  // the grid and max_paths, so an external shared cache changes nothing.
+  const target_spec t =
+      target_spec::parse(5, "cd + c'd' + abe + a'b'e'", "fig4");
+  janus_options options;
+  options.time_limit_s = 60.0;
+  options.lm.sat_time_limit_s = 20.0;
+  janus_synthesizer own(options);
+  const auto own_ds = own.divide_and_synthesize(t, deadline::in_seconds(60.0), 1);
+
+  lm::lattice_info_cache shared(options.max_paths);
+  options.lattice_info = &shared;
+  janus_synthesizer external(options);
+  const auto shared_ds =
+      external.divide_and_synthesize(t, deadline::in_seconds(60.0), 1);
+
+  ASSERT_TRUE(own_ds.has_value());
+  ASSERT_TRUE(shared_ds.has_value());
+  EXPECT_EQ(own_ds->mapping, shared_ds->mapping);
+  EXPECT_TRUE(shared_ds->mapping.realizes(t.function()));
+}
+
 TEST(Candidates, MaximalPairsOnly) {
   const auto c12 = lattice_candidates(12);
   // Every divisor shape of area 12 must be present…
