@@ -1,10 +1,14 @@
-// SAT inprocessing off vs on over the hard Table II ladders.
+// One-shot (scratch) vs session solves and SAT inprocessing off vs on, over
+// the hard Table II ladders.
 //
-// BENCH_incremental measures what *sessions* buy over scratch solves; this
-// bench holds the probe sequence fixed and measures what the *simplifier*
-// buys (docs/solver.md): each target's ladder — the nontrivial dims of its
-// default dichotomic search — is replayed through solve_lm in all four
-// configurations {scratch, session} x {inprocess off, on}. Per row it
+// The bench holds the probe sequence fixed (docs/solver.md): each target's
+// ladder — the nontrivial dims of its default dichotomic search — is
+// replayed through solve_lm in all four configurations {scratch, session} x
+// {inprocess off, on}. The scratch columns are the one-shot solve_lm path
+// (fresh encoder + solver per probe, the only path that gets bounded
+// variable elimination); the session columns are what every ladder runs, so
+// the scratch_on vs session_on pair is the measured reason the one-shot
+// path is kept as a reference. Per row it
 // records wall and solver seconds, conflicts, propagations and the three
 // simplification counters; every configuration must report the same
 // realization size (the bench exits non-zero otherwise — simplification is

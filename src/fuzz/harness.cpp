@@ -93,7 +93,7 @@ std::string describe(const synth::janus_result& r) {
          r.solution_dims();
 }
 
-/// Two-configuration equality axis (sessions, inprocessing, jobs): run both
+/// Two-configuration equality axis (inprocessing, jobs): run both
 /// in a shuffled order — results must not depend on execution order — and
 /// demand bit-identical bounds and sizes.
 axis_outcome run_equality_axis(const lm::target_spec& target,
@@ -177,15 +177,21 @@ axis_outcome axis_janus_vs_baselines(rng& gen, rng& shuffle) {
   return {};
 }
 
-axis_outcome axis_session_vs_scratch(rng& gen, rng& shuffle) {
+axis_outcome axis_session_vs_scratch(rng& gen, rng& /*shuffle*/) {
   const bf::truth_table f = random_truth_table(gen, 1, 4);
   const lm::target_spec target = lm::target_spec::from_function(f, "fuzz");
-  synth::janus_options scratch = tiny_options();
-  scratch.incremental = false;
-  synth::janus_options session = tiny_options();
-  session.incremental = true;
-  return run_equality_axis(target, f, scratch, "scratch", session, "session",
-                           shuffle);
+  const synth::janus_options options = tiny_options();
+  const synth::janus_result run = run_engine(target, options);
+  if (auto err = check_solution(run, f, "session")) {
+    return axis_outcome::fail(*err);
+  }
+  if (!ladder_exact(run)) {
+    return axis_outcome::skip("budget expired mid-ladder");
+  }
+  if (auto err = replay_probes_one_shot(target, options, run)) {
+    return axis_outcome::fail(*err);
+  }
+  return {};
 }
 
 axis_outcome axis_inprocess_on_off(rng& gen, rng& shuffle) {
@@ -527,6 +533,27 @@ constexpr axis_info kAxes[] = {
 };
 
 }  // namespace
+
+std::optional<std::string> replay_probes_one_shot(
+    const lm::target_spec& target, const synth::janus_options& options,
+    const synth::janus_result& run) {
+  lm::lattice_info_cache cache(options.max_paths);
+  lm::lm_options one_shot = options.lm;
+  one_shot.sessions = nullptr;
+  for (const synth::probe_record& p : run.probes) {
+    if (p.status != lm::lm_status::realizable &&
+        p.status != lm::lm_status::unrealizable) {
+      continue;
+    }
+    const lm::lm_result r = lm::solve_lm(target, cache.get(p.d), one_shot);
+    if (r.status != p.status) {
+      return "probe " + p.d.str() + ": session status " +
+             std::to_string(static_cast<int>(p.status)) +
+             ", one-shot status " + std::to_string(static_cast<int>(r.status));
+    }
+  }
+  return std::nullopt;
+}
 
 const char* axis_name(axis_id axis) {
   for (const axis_info& info : kAxes) {

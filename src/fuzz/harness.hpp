@@ -9,8 +9,11 @@
 //                        expiry, exact-[6] is a true optimum, so its size
 //                        lower-bounds both others and JANUS's structural lb
 //                        lower-bounds it.
-//   session_vs_scratch   incremental sessions vs fresh solvers: identical
-//                        bounds and solution sizes (the PR 2 contract).
+//   session_vs_scratch   every definitive probe of a session ladder,
+//                        re-solved by a fresh pool-less solve_lm, gets the
+//                        same answer (frontier-pruned probes included), so
+//                        the ladder picks the winner a one-shot ladder
+//                        would.
 //   inprocess_on_off     CDCL inprocessing on vs off: identical bounds and
 //                        sizes (simplification is never an approximation).
 //   jobs1_vs_jobsn       jobs=1 vs jobs=N: bit-identical results (the PR 1
@@ -51,6 +54,14 @@
 #include <vector>
 
 #include "fuzz/repro.hpp"
+
+namespace janus::lm {
+class target_spec;
+}  // namespace janus::lm
+namespace janus::synth {
+struct janus_options;
+struct janus_result;
+}  // namespace janus::synth
 
 namespace janus::fuzz {
 
@@ -107,6 +118,15 @@ struct fuzz_report {
 
   [[nodiscard]] bool clean() const { return failures.empty(); }
 };
+
+/// The replay check of the session_vs_scratch axis: re-solve every
+/// definitive (realizable or unrealizable) probe of `run` — a ladder of
+/// `target` under `options` — with a fresh solve_lm that has no session
+/// pool, and describe the first probe whose answer differs. Frontier-pruned
+/// probes are replayed too: their one-shot answer must be unrealizable.
+[[nodiscard]] std::optional<std::string> replay_probes_one_shot(
+    const lm::target_spec& target, const synth::janus_options& options,
+    const synth::janus_result& run);
 
 /// The fuzz loop: cases 0, 1, 2, … rotate over `options.axes` until either
 /// bound (cases / budget) is hit. Discrepancies are appended to

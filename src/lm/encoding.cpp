@@ -8,6 +8,15 @@ namespace janus::lm {
 
 using lattice::cell_assign;
 
+namespace {
+/// Products with more literals than this must be realized by a path longer
+/// than it (the paper's empirically chosen 5).
+constexpr int kLongProductThreshold = 5;
+/// Rule families whose auxiliary path selectors would exceed this many
+/// variables are skipped: the rules only prune, so dropping them is sound.
+constexpr std::uint64_t kMaxRuleAuxVars = 50'000;
+}  // namespace
+
 std::vector<std::uint64_t> onset_entries(const bf::truth_table& f) {
   std::vector<std::uint64_t> out;
   for (std::uint64_t m = 0; m < f.num_minterms(); ++m) {
@@ -124,11 +133,7 @@ void lm_emitter::emit_exactly_one(int cell) {
   for (std::size_t j = 0; j < tl_.size(); ++j) {
     group[j] = layout_.map_lit(cell, j);
   }
-  if (options_.amo_sequential) {
-    out_.exactly_one_sequential(group);
-  } else {
-    out_.exactly_one(group);
-  }
+  out_.exactly_one(group);
   stats_.link_clauses += out_.num_clauses() - before;
 }
 
@@ -295,16 +300,15 @@ void lm_emitter::emit_degree_rules() {
     if (target_degree == lattice_degree && len == target_degree) {
       const auto paths = paths_with([&](int L) { return L == len; });
       aux_estimate += paths.size();
-      if (aux_estimate > options_.max_rule_aux_vars) {
+      if (aux_estimate > kMaxRuleAuxVars) {
         return;
       }
       add_realization_rule(p, paths, /*allow_one=*/false);
-    } else if (len > options_.long_product_threshold) {
-      const auto paths =
-          paths_with([&](int L) { return L > options_.long_product_threshold &&
-                                         L >= len; });
+    } else if (len > kLongProductThreshold) {
+      const auto paths = paths_with(
+          [&](int L) { return L > kLongProductThreshold && L >= len; });
       aux_estimate += paths.size();
-      if (aux_estimate > options_.max_rule_aux_vars) {
+      if (aux_estimate > kMaxRuleAuxVars) {
         return;
       }
       add_realization_rule(p, paths, /*allow_one=*/true);
@@ -325,7 +329,7 @@ void lm_emitter::emit_strict_rules() {
       }
     }
     aux_estimate += paths.size();
-    if (aux_estimate > options_.max_rule_aux_vars) {
+    if (aux_estimate > kMaxRuleAuxVars) {
       return;
     }
     add_realization_rule(p, paths, /*allow_one=*/false);

@@ -13,8 +13,8 @@
 //      plus the two helper "facts" (a 1 per row; a vertical 1-pair per
 //      consecutive row boundary);
 //   3. degree rules: products of maximal degree must be realized by
-//      maximal-length paths; products with more than `long_product_threshold`
-//      literals by paths longer than the threshold.
+//      maximal-length paths; products with more than 5 literals (the
+//      paper's threshold) by paths longer than 5.
 //
 // The constraint families split along a line the incremental session
 // (lm_session.hpp) exploits: group 1 depends only on the target and the cell
@@ -51,12 +51,9 @@ namespace janus::lm {
 
 struct lm_encode_options {
   bool use_degree_rules = true;
-  int long_product_threshold = 5;  // the paper's empirically chosen 5
   bool use_helper_facts = true;
   bool strict_product_rules = false;   // approx-[6] baseline behavior
   bool tl_isop_literals_only = true;   // TL from the ISOP (paper) vs all literals
-  bool amo_sequential = false;         // sequential-counter exactly-one per cell
-  std::size_t max_rule_aux_vars = 50'000;  // skip degree rules beyond this
 };
 
 /// Statistics of a built encoding (reported by the ablation bench).
@@ -116,7 +113,7 @@ class lm_emitter {
  public:
   /// `info` may be null when only the geometry-free core emitters
   /// (emit_exactly_one / emit_links) will be used — the reachability
-  /// session shares the core without enumerating any path list.
+  /// encoding shares the core without enumerating any path list.
   lm_emitter(const target_spec& target, const lattice_info* info,
              bool dual_side, const lm_encode_options& options,
              const std::vector<lattice::cell_assign>& tl,
@@ -139,9 +136,9 @@ class lm_emitter {
   void emit_rules();
 
   /// Emit one clause under the current activation (the single guard
-  /// implementation — encoding extensions such as the reachability session
-  /// layer their own dims-dependent clauses through here so guard semantics
-  /// cannot drift between encodings).
+  /// implementation — extensions such as the reachability encoding emit
+  /// their own clauses through here so guard semantics cannot drift between
+  /// encodings).
   void add(std::span<const sat::lit> lits);
   void add(std::initializer_list<sat::lit> lits);
 

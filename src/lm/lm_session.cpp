@@ -7,25 +7,6 @@
 
 namespace janus::lm {
 
-session_solve_outcome solve_session_step(sat::solver& solver,
-                                         std::span<const sat::lit> assumptions,
-                                         deadline budget,
-                                         double sat_time_limit_s,
-                                         std::int64_t conflict_budget,
-                                         const exec::cancel_token& stop) {
-  session_solve_outcome out;
-  stopwatch solve_clock;
-  solver.set_deadline(budget.tightened(sat_time_limit_s));
-  solver.set_conflict_budget(conflict_budget);
-  solver.set_stop_flag(stop.flag());
-  const sat::solver_stats before = solver.stats();
-  out.verdict = solver.solve(assumptions);
-  solver.set_stop_flag(nullptr);
-  out.delta = solver.stats() - before;
-  out.seconds = solve_clock.seconds();
-  return out;
-}
-
 lm_session::lm_session(const target_spec& target, bool dual_side,
                        lm_encode_options options,
                        sat::solver_options solver_options)
@@ -147,12 +128,18 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
   }
   last_probe_key_ = key;
 
-  const session_solve_outcome solved = solve_session_step(
-      solver_, assumptions, budget, sat_time_limit_s, conflict_budget, stop);
-  last_probe_conflicts_ = solved.delta.conflicts;
-  out.verdict = solved.verdict;
-  out.solver_delta = solved.delta;
-  out.solve_seconds = solved.seconds;
+  // Per-call budgets and stop flag; the flag is detached again afterwards
+  // because the token may die with the call.
+  stopwatch solve_clock;
+  solver_.set_deadline(budget.tightened(sat_time_limit_s));
+  solver_.set_conflict_budget(conflict_budget);
+  solver_.set_stop_flag(stop.flag());
+  const sat::solver_stats before = solver_.stats();
+  out.verdict = solver_.solve(assumptions);
+  solver_.set_stop_flag(nullptr);
+  out.solver_delta = solver_.stats() - before;
+  out.solve_seconds = solve_clock.seconds();
+  last_probe_conflicts_ = out.solver_delta.conflicts;
 
   if (out.verdict == sat::solve_result::sat) {
     out.mapping = decode_mapping(solver_, layout_, tl_, info.d,

@@ -25,8 +25,9 @@
 // scratch encoding of d (same constraint families over the same cells, via
 // the same lm_emitter). Deactivated groups are satisfied through their
 // guards and constrain nothing. SAT models decode and verify identically, so
-// session mode reproduces scratch-mode bounds and solution sizes bit for bit
-// (tests/test_incremental.cpp asserts this across the Table II set).
+// every session probe answers what the one-shot solve_lm answers
+// (tests/test_incremental.cpp replays whole Table II ladders probe by
+// probe to assert this).
 //
 // Core-guided pruning: when an UNSAT answer's conflict core (see
 // sat::solver::conflict_core) does not use the rules_d assumption, the
@@ -49,7 +50,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,43 +61,21 @@
 
 namespace janus::lm {
 
-/// Solver configuration for LM instances: inprocessing on, EMA restarts.
-/// Scratch solves freeze nothing and get the full reduction (bounded
-/// variable elimination included); sessions freeze every interface
-/// variable, so they keep the probing and vivification rounds but skip
-/// elimination — the split docs/solver.md describes. The
-/// glucose-style restart policy measurably cooperates with the inprocessing
-/// rounds on the hard lattice instances (quality-driven restarts hit the
-/// round boundaries where simplification pays), where the Luby schedule
-/// with inprocessing regressed the UNSAT probes.
+/// Solver configuration for LM instances: inprocessing on. One-shot solves
+/// freeze nothing and get the full reduction (bounded variable elimination
+/// included); sessions freeze every interface variable, so they keep the
+/// probing and vivification rounds but skip elimination — the split
+/// docs/solver.md describes.
 [[nodiscard]] inline sat::solver_options default_lm_solver_options() {
   sat::solver_options o;
   o.inprocess = true;
-  o.restart = sat::restart_policy::ema;
   return o;
 }
-
-/// The shared solve-side protocol of one incremental probe: apply the
-/// per-call budgets and stop flag, decide under `assumptions`, detach the
-/// stop flag again (the token may die with the call), and report the
-/// verdict with the solver-stats delta and wall time. Both lm_session and
-/// reach_session route their solves through this so the protocol cannot
-/// drift between session flavors.
-struct session_solve_outcome {
-  sat::solve_result verdict = sat::solve_result::unknown;
-  sat::solver_stats delta;
-  double seconds = 0.0;
-};
-[[nodiscard]] session_solve_outcome solve_session_step(
-    sat::solver& solver, std::span<const sat::lit> assumptions,
-    deadline budget, double sat_time_limit_s, std::int64_t conflict_budget,
-    const exec::cancel_token& stop);
 
 class lm_session {
  public:
   lm_session(const target_spec& target, bool dual_side,
-             lm_encode_options options,
-             sat::solver_options solver_options = default_lm_solver_options());
+             lm_encode_options options, sat::solver_options solver_options);
 
   /// Everything one incremental probe produced.
   struct probe_result {
@@ -167,9 +145,8 @@ class lm_session {
 class lm_session_pool {
  public:
   /// `target` must outlive the pool (sessions keep references into it).
-  lm_session_pool(
-      const target_spec& target, lm_encode_options options,
-      sat::solver_options solver_options = default_lm_solver_options())
+  lm_session_pool(const target_spec& target, lm_encode_options options,
+                  sat::solver_options solver_options)
       : target_(target), options_(options), solver_options_(solver_options) {}
 
   lm_session_pool(const lm_session_pool&) = delete;

@@ -127,10 +127,9 @@ lm_result solve_lm(const target_spec& target, const lattice_info& info,
       break;
     case sat::solve_result::sat:
       JANUS_CHECK(result.mapping.has_value());
-      if (options.verify_model) {
-        JANUS_CHECK_MSG(result.mapping->realizes(target.function()),
-                        "SAT model fails ground-truth verification");
-      }
+      // Every model is re-checked against the BFS oracle (cheap).
+      JANUS_CHECK_MSG(result.mapping->realizes(target.function()),
+                      "SAT model fails ground-truth verification");
       result.status = lm_status::realizable;
       break;
   }

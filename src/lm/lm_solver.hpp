@@ -38,29 +38,28 @@ enum class lm_status : std::uint8_t {
 struct lm_options {
   lm_encode_options encode;
   /// SAT solver configuration for every solver this call touches: the
-  /// scratch path constructs its solvers with it, and session pools should
-  /// be constructed with the same value (scratch solves additionally get
+  /// one-shot path constructs its solvers with it, and session pools should
+  /// be constructed with the same value (one-shot solves additionally get
   /// bounded variable elimination, since they freeze no variables).
   sat::solver_options solver = default_lm_solver_options();
   double sat_time_limit_s = 1200.0;  // the paper's empirically chosen limit
   std::int64_t conflict_budget = -1;
   bool allow_dual_problem = true;
-  bool verify_model = true;  // re-check against the BFS oracle (cheap)
   /// Candidates whose cheaper side would still exceed this many clauses are
   /// skipped outright (estimated before construction; bounds memory and
   /// encode time on wide-input targets).
   std::uint64_t max_encoding_clauses = 4'000'000;
   /// External cancellation: raising it aborts the solve mid-search.
   exec::cancel_token cancel;
-  /// Incremental sessions (nullptr = scratch mode). When set, each side of a
-  /// probe leases a persistent per-(target, side) solver from this pool
+  /// Incremental sessions (nullptr = one-shot solve). When set, the probe
+  /// leases a persistent per-(target, side) solver from this pool
   /// instead of building a fresh encoder + solver, keeping learned clauses
   /// across the dichotomic ladder; rule-free UNSAT cores feed the pool's
   /// frontier and dominated dimensions are answered without solving. The
   /// pool must belong to the same target being solved, and must have been
   /// constructed with the same `encode` options as this struct — session
   /// probes encode with the pool's stored options, so a mismatch would
-  /// silently break scratch/session parity.
+  /// silently break session/one-shot parity.
   lm_session_pool* sessions = nullptr;
 };
 

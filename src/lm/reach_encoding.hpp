@@ -1,4 +1,5 @@
-// Alternative LM encoding via unrolled reachability (ablation substrate).
+// Alternative LM encoding via unrolled reachability (ablation substrate and
+// complete test reference).
 //
 // Instead of enumerating irredundant paths, this encoding unrolls a BFS
 // fixpoint: reach_k[cell][e] ⇔ cell is ON at entry e and reachable from the
@@ -8,58 +9,21 @@
 // auxiliary variables — the trade the ablation bench quantifies against the
 // paper's path encoding.
 //
-// Like the path encoding, it layers on the incremental split of
-// encoding.hpp: the mapping/value core (exactly-one + link clauses over a
-// cell-slot pool) is dims-independent and shared, while the per-dims
-// reachability unrolling is guarded by an activation literal. `reach_session`
-// keeps one persistent solver across a ladder of dimensions; the one-shot
-// solve_lm_reachability below is a single-probe session.
+// It shares the mapping/value core (exactly-one + link clauses) with the
+// path encoding through lm_emitter, and adds no heuristic rule, so its
+// verdicts are the exact answer the path encoding's rules approximate —
+// which is why the LM and synthesis tests use it as their reference.
 #pragma once
-
-#include <map>
-#include <utility>
-#include <vector>
 
 #include "lm/lm_solver.hpp"
 
 namespace janus::lm {
 
-/// Incremental reachability solving for one target (primal view only): one
-/// persistent solver, the mapping core shared across every probed dims,
-/// per-dims unrolled-reachability constraints switched by assumptions. This
-/// encoding is complete (no heuristic rules), so every `unrealizable` answer
-/// is definitive and is reported with `definitely_unrealizable` set.
-class reach_session {
- public:
-  explicit reach_session(
-      const target_spec& target, lm_encode_options options = {},
-      sat::solver_options solver_options = default_lm_solver_options());
-
-  /// Probe one dims under the usual lm budget knobs.
-  [[nodiscard]] lm_result probe(const lattice::dims& d,
-                                const lm_options& options,
-                                deadline budget = deadline::never());
-
-  [[nodiscard]] const sat::solver& solver() const { return solver_; }
-  [[nodiscard]] std::size_t num_groups() const { return groups_.size(); }
-
- private:
-  /// Grow the shared mapping/value core to `cells` slots; returns the number
-  /// of clauses added (so probes can report core growth in their stats).
-  std::uint64_t ensure_slots(int cells);
-
-  const target_spec& target_;
-  const lm_encode_options options_;
-  std::vector<lattice::cell_assign> tl_;
-  std::uint64_t entries_ = 0;
-  sat::solver solver_;
-  lm_var_layout layout_;
-  std::map<std::pair<int, int>, sat::lit> groups_;  ///< dims -> activation
-};
-
-/// Solve the LM problem with the reachability encoding (primal view only).
-/// Statuses have the same meaning as solve_lm. One-shot: builds a fresh
-/// single-probe reach_session internally.
+/// Solve the LM problem with the reachability encoding (primal view only):
+/// one fresh formula and solver per call. Statuses have the same meaning as
+/// solve_lm; the encoding is complete (no heuristic rules), so every
+/// `unrealizable` answer is definitive and is reported with
+/// `definitely_unrealizable` set.
 [[nodiscard]] lm_result solve_lm_reachability(
     const target_spec& target, const lattice::dims& d,
     const lm_options& options, deadline budget = deadline::never());

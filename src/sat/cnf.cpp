@@ -47,31 +47,9 @@ void cnf::at_most_one_pairwise(std::span<const lit> lits) {
   }
 }
 
-void cnf::at_most_one_sequential(std::span<const lit> lits) {
-  if (lits.size() <= 4) {
-    at_most_one_pairwise(lits);  // pairwise is smaller for tiny groups
-    return;
-  }
-  // s_i = "some literal among lits[0..i] is true".
-  lit prev = lits[0];
-  for (std::size_t i = 1; i + 1 < lits.size(); ++i) {
-    const lit s = lit::make(new_var());
-    add_binary(~prev, s);       // carry the prefix flag forward
-    add_binary(~lits[i], s);    // a set literal raises the flag
-    add_binary(~lits[i], ~prev);  // at most one: new literal forbids old flag
-    prev = s;
-  }
-  add_binary(~lits.back(), ~prev);
-}
-
 void cnf::exactly_one(std::span<const lit> lits) {
   at_least_one(lits);
   at_most_one_pairwise(lits);
-}
-
-void cnf::exactly_one_sequential(std::span<const lit> lits) {
-  at_least_one(lits);
-  at_most_one_sequential(lits);
 }
 
 lit cnf::add_and(std::span<const lit> lits) {

@@ -9,6 +9,13 @@ namespace {
 inline bool is_true(lbool v) { return v == lbool::true_value; }
 inline bool is_false(lbool v) { return v == lbool::false_value; }
 inline bool is_undef(lbool v) { return v == lbool::undef; }
+
+// Per-round work caps (docs/solver.md).
+constexpr std::size_t kBveOccurrenceLimit = 16;  // per-polarity occurrences
+constexpr std::size_t kBveResolventLimit = 24;   // literals of a kept resolvent
+constexpr std::size_t kProbesPerRound = 128;     // failed-literal probes
+constexpr std::size_t kVivifyPerRound = 96;      // learnt clauses vivified
+constexpr std::uint32_t kVivifySizeLimit = 48;   // longest clause vivified
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -188,9 +195,7 @@ void simplifier::try_eliminate(var v) {
   if (before == 0) {
     return;
   }
-  const auto limit =
-      static_cast<std::size_t>(s_.options_.bve_occurrence_limit);
-  if (pos_.size() > limit || neg_.size() > limit) {
+  if (pos_.size() > kBveOccurrenceLimit || neg_.size() > kBveOccurrenceLimit) {
     return;
   }
   // Longest clause being removed: elimination must never produce a clause
@@ -210,9 +215,7 @@ void simplifier::try_eliminate(var v) {
       if (!resolve_pair(p, n, v, tmp_)) {
         continue;
       }
-      if (tmp_.size() >
-              static_cast<std::size_t>(s_.options_.bve_resolvent_limit) ||
-          tmp_.size() > max_parent_len) {
+      if (tmp_.size() > kBveResolventLimit || tmp_.size() > max_parent_len) {
         return;  // resolvent longer than what it replaces: keep the variable
       }
       resolvents_.push_back(tmp_);
@@ -299,8 +302,7 @@ void simplifier::probe_failed_literals() {
   }
   // The persistent ticket rotates the starting point so successive rounds
   // cover different parts of the graph instead of re-probing the same head.
-  const std::size_t count = std::min(
-      candidates.size(), static_cast<std::size_t>(s_.options_.probes_per_round));
+  const std::size_t count = std::min(candidates.size(), kProbesPerRound);
   for (std::size_t k = 0; k < count; ++k) {
     if (!s_.ok_ || s_.stopped_externally()) {
       break;
@@ -333,9 +335,7 @@ void simplifier::vivify_learnts() {
       continue;
     }
     const std::uint32_t size = s_.clause_size(c);
-    if (size < 3 ||
-        size > static_cast<std::uint32_t>(s_.options_.vivify_size_limit) ||
-        s_.clause_lbd(c) < 3) {
+    if (size < 3 || size > kVivifySizeLimit || s_.clause_lbd(c) < 3) {
       continue;
     }
     cands.push_back(c);
@@ -346,8 +346,7 @@ void simplifier::vivify_learnts() {
             [this](solver::clause_ref a, solver::clause_ref b) {
               return s_.clause_lbd(a) > s_.clause_lbd(b);
             });
-  const std::size_t count = std::min(
-      cands.size(), static_cast<std::size_t>(s_.options_.vivify_per_round));
+  const std::size_t count = std::min(cands.size(), kVivifyPerRound);
   std::vector<lit> lits;
   std::vector<lit> out;
   for (std::size_t i = 0; i < count; ++i) {

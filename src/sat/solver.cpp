@@ -1,7 +1,6 @@
 #include "sat/solver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 #include "sat/simplify.hpp"
@@ -12,6 +11,20 @@ namespace {
 inline bool is_true(lbool v) { return v == lbool::true_value; }
 inline bool is_false(lbool v) { return v == lbool::false_value; }
 inline bool is_undef(lbool v) { return v == lbool::undef; }
+
+// Fixed search constants (MiniSat/glucose conventions; docs/solver.md).
+constexpr double kVarDecay = 0.95;
+constexpr double kClauseDecay = 0.999;
+/// Polarity of a never-assigned variable (and of a free eliminated one).
+constexpr bool kDefaultPhase = false;
+/// LBD boundary between the tier2 and local learnt tiers.
+constexpr std::uint32_t kTier2Lbd = 6;
+/// Conflicts before the one-time preprocessing pass (bounded variable
+/// elimination included), which is DEFERRED to the first restart boundary
+/// past this count rather than run up-front: a solve that finishes sooner
+/// is bit-identical to an inprocess=false run and pays zero simplification
+/// overhead, so only formulas that prove hard get simplified.
+constexpr std::uint64_t kPreprocessDelay = 300;
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -23,7 +36,7 @@ var solver::new_var() {
   assigns_.push_back(lbool::undef);
   lit_values_.push_back(lbool::undef);
   lit_values_.push_back(lbool::undef);
-  saved_phase_.push_back(options_.default_phase ? 1 : 0);
+  saved_phase_.push_back(kDefaultPhase ? 1 : 0);
   level_.push_back(0);
   reason_.push_back(cr_undef);
   activity_.push_back(0.0);
@@ -58,7 +71,7 @@ void solver::decay_heuristics(bool rephase) {
   var_inc_ = 1.0;
   if (rephase) {
     std::fill(saved_phase_.begin(), saved_phase_.end(),
-              options_.default_phase ? std::uint8_t{1} : std::uint8_t{0});
+              kDefaultPhase ? std::uint8_t{1} : std::uint8_t{0});
   }
 }
 
@@ -312,9 +325,7 @@ void solver::cancel_until(int target_level) {
     assigns_[v] = lbool::undef;
     lit_values_[static_cast<std::size_t>(p.code())] = lbool::undef;
     lit_values_[static_cast<std::size_t>((~p).code())] = lbool::undef;
-    if (options_.phase_saving) {
-      saved_phase_[v] = p.negated() ? 0 : 1;
-    }
+    saved_phase_[v] = p.negated() ? 0 : 1;
     if (!heap_contains(p.variable())) {
       heap_insert(p.variable());
     }
@@ -581,10 +592,7 @@ lit solver::pick_branch_lit() {
   while (!heap_.empty()) {
     const var v = heap_pop();
     if (is_undef(value(v)) && !is_eliminated(v)) {
-      const bool phase = options_.phase_saving
-                             ? saved_phase_[static_cast<std::size_t>(v)] != 0
-                             : options_.default_phase;
-      return lit::make(v, !phase);
+      return lit::make(v, saved_phase_[static_cast<std::size_t>(v)] == 0);
     }
   }
   return lit_undef;
@@ -596,7 +604,7 @@ lit solver::pick_branch_lit() {
 
 void solver::reduce_learnts() {
   // Tiered policy: core clauses (LBD <= 2) are kept forever, tier2 clauses
-  // (LBD <= tier2_lbd) survive while their usage counter shows recent
+  // (LBD <= kTier2Lbd) survive while their usage counter shows recent
   // conflict participation (decremented here, so an unused clause demotes
   // after a few reductions), and the local tier is halved by (LBD, activity).
   std::vector<clause_ref> candidates;
@@ -605,8 +613,7 @@ void solver::reduce_learnts() {
     if (locked(c) || clause_lbd(c) <= 2 || clause_size(c) <= 2) {
       continue;  // core tier (or currently a reason): never removed
     }
-    if (clause_lbd(c) <= static_cast<std::uint32_t>(options_.tier2_lbd) &&
-        clause_usage(c) > 0) {
+    if (clause_lbd(c) <= kTier2Lbd && clause_usage(c) > 0) {
       decay_clause_usage(c);
       continue;  // tier2: protected while recently used
     }
@@ -748,23 +755,7 @@ bool solver::budget_expired() const {
   return false;
 }
 
-double solver::luby(double y, int i) {
-  // Find the finite subsequence containing index i and its position in it.
-  int size = 1;
-  int seq = 0;
-  while (size < i + 1) {
-    ++seq;
-    size = 2 * size + 1;
-  }
-  while (size - 1 != i) {
-    size = (size - 1) / 2;
-    --seq;
-    i = i % size;
-  }
-  return std::pow(y, seq);
-}
-
-solve_result solver::search(std::int64_t conflicts_before_restart) {
+solve_result solver::search() {
   std::int64_t conflicts_here = 0;
   std::vector<lit> learnt;
   while (true) {
@@ -796,8 +787,8 @@ solve_result solver::search(std::int64_t conflicts_before_restart) {
         unchecked_enqueue(learnt[0], c);
         ++stats_.learned_clauses;
       }
-      var_decay_activity();
-      clause_decay_activity();
+      var_inc_ /= kVarDecay;
+      clause_inc_ /= kClauseDecay;
 
       if ((stats_.conflicts & 255u) == 0 && deadline_.expired()) {
         deadline_hit_ = true;
@@ -806,15 +797,10 @@ solve_result solver::search(std::int64_t conflicts_before_restart) {
         cancel_until(assumption_root_level());
         return solve_result::unknown;
       }
-      // Luby restarts fire on the per-segment conflict budget; the EMA policy
-      // restarts as soon as recent learnt quality (fast LBD average) degrades
+      // Restart as soon as recent learnt quality (fast LBD average) degrades
       // against the long-run average, after a short warm-up.
-      const bool restart_now =
-          options_.restart == restart_policy::ema
-              ? (conflicts_here >= 32 && stats_.conflicts >= 128 &&
-                 lbd_ema_fast_ > 1.25 * lbd_ema_slow_)
-              : (conflicts_here >= conflicts_before_restart);
-      if (restart_now) {
+      if (conflicts_here >= 32 && stats_.conflicts >= 128 &&
+          lbd_ema_fast_ > 1.25 * lbd_ema_slow_) {
         cancel_until(0);
         return solve_result::unknown;  // restart
       }
@@ -909,7 +895,7 @@ void solver::extend_model() {
         forced = to_lbool(!mine.negated());
       }
     }
-    model_[vi] = forced == lbool::undef ? to_lbool(options_.default_phase) : forced;
+    model_[vi] = forced == lbool::undef ? to_lbool(kDefaultPhase) : forced;
   }
 }
 
@@ -948,17 +934,13 @@ solve_result solver::solve(std::span<const lit> assumptions) {
 
   // Deferred preprocessing: the one-time full reduction (bounded variable
   // elimination included) runs at the first restart boundary past
-  // `preprocess_delay` conflicts, not here. A solve that finishes sooner
-  // therefore runs bit-identically to a plain CDCL solve and pays zero
-  // simplification overhead — only formulas that prove hard get simplified.
-  // Eliminating variables mid-search is sound because eliminate_variables()
-  // drops every learnt clause over an eliminated variable (implied by the
-  // original formula, not the reduced one) and assumption variables were
-  // frozen above.
+  // kPreprocessDelay conflicts, not here. Eliminating variables mid-search
+  // is sound because eliminate_variables() drops every learnt clause over an
+  // eliminated variable (implied by the original formula, not the reduced
+  // one) and assumption variables were frozen above.
   if (options_.inprocess && !preprocessed_ && !inprocess_scheduled_) {
     inprocess_scheduled_ = true;
-    next_inprocess_ = stats_.conflicts +
-                      static_cast<std::uint64_t>(options_.preprocess_delay);
+    next_inprocess_ = stats_.conflicts + kPreprocessDelay;
   }
   if (!ok_) {
     status = solve_result::unsat;
@@ -970,20 +952,17 @@ solve_result solver::solve(std::span<const lit> assumptions) {
   // decision level — dummy levels included — hence level i <=> assumption
   // i-1 and a prefix match directly bounds the backtrack target.)
   if (status == solve_result::unknown) {
+    const int max_keep = std::min({static_cast<int>(assumptions_.size()),
+                                   static_cast<int>(prev_assumptions_.size()),
+                                   decision_level()});
     int keep = 0;
-    if (options_.save_trail) {
-      const int max_keep = std::min({static_cast<int>(assumptions_.size()),
-                                     static_cast<int>(prev_assumptions_.size()),
-                                     decision_level()});
-      while (keep < max_keep && assumptions_[keep] == prev_assumptions_[keep]) {
-        ++keep;
-      }
+    while (keep < max_keep && assumptions_[keep] == prev_assumptions_[keep]) {
+      ++keep;
     }
     cancel_until(keep);
     prev_assumptions_ = assumptions_;
   }
 
-  int restart_index = 0;
   while (status == solve_result::unknown) {
     if (deadline_.expired()) {
       deadline_hit_ = true;
@@ -1014,10 +993,7 @@ solve_result solver::solve(std::span<const lit> assumptions) {
         break;
       }
     }
-    const double factor = luby(2.0, restart_index);
-    status = search(static_cast<std::int64_t>(
-        factor * static_cast<double>(options_.restart_base)));
-    ++restart_index;
+    status = search();
     if (status == solve_result::unknown && !budget_expired()) {
       ++stats_.restarts;
     }
@@ -1026,7 +1002,7 @@ solve_result solver::solve(std::span<const lit> assumptions) {
   if (status == solve_result::sat) {
     extend_model();
   }
-  if (options_.save_trail && ok_) {
+  if (ok_) {
     cancel_until(assumption_root_level());
   } else {
     cancel_until(0);

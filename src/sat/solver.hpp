@@ -47,7 +47,7 @@
 //   * per-literal value bytes (no sign branch on a value check),
 //   * first-UIP conflict analysis with basic (self-subsumption) minimization,
 //   * VSIDS variable activities with phase saving,
-//   * Luby restarts, plus a glucose-style LBD-EMA restart policy,
+//   * glucose-style LBD-EMA restarts,
 //   * tiered learned-clause management (core / tier2 / local by LBD, with
 //     usage-protected tier2 clauses),
 //   * assumption-aware trail saving between solve() calls,
@@ -73,12 +73,6 @@
 namespace janus::sat {
 
 enum class solve_result : std::uint8_t { sat, unsat, unknown };
-
-/// Restart policy for the CDCL search loop.
-enum class restart_policy : std::uint8_t {
-  luby,  ///< Luby sequence scaled by solver_options::restart_base.
-  ema,   ///< glucose-style: restart when the fast LBD EMA exceeds the slow one.
-};
 
 /// Counters exposed for benchmarking and tests.
 struct solver_stats {
@@ -130,37 +124,19 @@ inline solver_stats operator-(const solver_stats& after,
   return d;
 }
 
-/// Tunables; defaults follow MiniSat/glucose conventions.
+/// The settable part of the solver configuration. Everything else (decay
+/// factors, the tier boundary, the inprocessing caps) is a fixed constant of
+/// solver.cpp / simplify.cpp; docs/solver.md lists the values.
 struct solver_options {
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
-  int restart_base = 100;          // Luby unit, in conflicts
   int reduce_base = 2000;          // first learned-DB reduction, in conflicts
   int reduce_increment = 300;      // growth per reduction
-  bool phase_saving = true;
-  bool default_phase = false;      // value picked for never-assigned vars
-  restart_policy restart = restart_policy::luby;
-  int tier2_lbd = 6;               // LBD boundary between tier2 and local
 
   // Inprocessing (sat/simplify.hpp). Off by default: a bare solver must keep
   // every variable addressable by later add_clause()/assumption use without a
   // freeze protocol. The LM layer turns it on and freezes its interface vars.
   bool inprocess = false;
-  bool save_trail = true;          // keep assumption levels between solve()s
   /// Conflicts between inprocessing rounds (0 = every restart boundary).
   int inprocess_interval = 4000;
-  /// Conflicts before the one-time preprocessing pass (bounded variable
-  /// elimination included), which is DEFERRED to the first restart boundary
-  /// past this count rather than run up-front: a solve that finishes sooner
-  /// is bit-identical to an inprocess=false run and pays zero simplification
-  /// overhead, so only formulas that prove hard get simplified. 0 runs it at
-  /// the very first boundary, before any search.
-  int preprocess_delay = 300;
-  int bve_occurrence_limit = 16;   // per-polarity occurrence cap for BVE
-  int bve_resolvent_limit = 24;    // max literals of a kept BVE resolvent
-  int probes_per_round = 128;      // failed-literal probes per round
-  int vivify_per_round = 96;       // learned clauses vivified per round
-  int vivify_size_limit = 48;      // skip vivifying clauses longer than this
 };
 
 class simplifier;
@@ -355,9 +331,7 @@ class solver {
 
   // --- heuristics ---------------------------------------------------------
   void var_bump_activity(var v);
-  void var_decay_activity() { var_inc_ /= options_.var_decay; }
   void clause_bump_activity(clause_ref c);
-  void clause_decay_activity() { clause_inc_ /= options_.clause_decay; }
   [[nodiscard]] lit pick_branch_lit();
 
   // indexed binary max-heap over variable activities
@@ -396,14 +370,13 @@ class solver {
   void garbage_collect();
 
   // --- search -------------------------------------------------------------
-  [[nodiscard]] solve_result search(std::int64_t conflicts_before_restart);
+  [[nodiscard]] solve_result search();
   [[nodiscard]] bool budget_expired() const;
   /// Backtrack target that keeps the assumption levels alive (restarts and
   /// trail saving never need to go below it).
   [[nodiscard]] int assumption_root_level() const {
     return std::min(decision_level(), static_cast<int>(assumptions_.size()));
   }
-  static double luby(double y, int i);
 
   // --- data ----------------------------------------------------------------
   solver_options options_;

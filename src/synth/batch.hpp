@@ -59,8 +59,8 @@ struct batch_result {
   std::vector<portfolio_result> portfolio;
   sat::solver_stats solver_totals;    ///< summed over all dichotomic probes
   std::uint64_t total_probes = 0;
-  /// Probes answered from the UNSAT frontiers without solving (incremental
-  /// mode; 0 in scratch mode), summed over all targets.
+  /// Probes answered from the UNSAT frontiers without solving, summed over
+  /// all targets.
   std::uint64_t pruned_probes = 0;
   /// Targets answered from the shared NP-canonical solution cache / targets
   /// that consulted it and had to run their own ladder. Both stay 0 when

@@ -149,31 +149,30 @@ janus_synthesizer::probe_outcome janus_synthesizer::probe(
 
 std::optional<lattice_mapping> janus_synthesizer::probe_step(
     const target_spec& target, int mp, deadline budget,
-    exec::thread_pool* pool, std::vector<probe_record>& log) {
+    exec::thread_pool* pool, lm::lm_session_pool& sessions,
+    std::vector<probe_record>& log) {
   const std::vector<dims> candidates = lattice_candidates(mp);
   const std::size_t n = candidates.size();
   std::vector<probe_outcome> outcomes(n);
   std::vector<std::uint8_t> probed(n, 0);
+  lm::lm_options lm_options = options_.lm;
+  lm_options.cancel = options_.exec.cancel;  // aborts in-flight solves
+  lm_options.sessions = &sessions;
 
   // Core-guided pruning: candidates dominated by the session pool's UNSAT
   // frontier are already decided — probe them inline (no SAT work: solve_lm
   // answers from the frontier instantly) instead of spawning tasks.
   // Realizability is monotone in rows and columns, and only rule-free
   // (genuine) UNSATs enter the frontier, so the answer matches what a
-  // scratch probe would return; going through probe() keeps the memo and
+  // one-shot probe would return; going through probe() keeps the memo and
   // from_cache dedup semantics in one place, so a dims re-listed by a later
   // step is neither re-logged nor re-counted.
   std::vector<std::uint8_t> pruned(n, 0);
-  if (sessions_ != nullptr) {
-    lm::lm_options lm_options = options_.lm;
-    lm_options.cancel = options_.exec.cancel;
-    lm_options.sessions = sessions_;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (sessions_->known_unrealizable(candidates[i])) {
-        outcomes[i] = probe(target, candidates[i], budget, lm_options);
-        probed[i] = 1;
-        pruned[i] = 1;
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (sessions.known_unrealizable(candidates[i])) {
+      outcomes[i] = probe(target, candidates[i], budget, lm_options);
+      probed[i] = 1;
+      pruned[i] = 1;
     }
   }
 
@@ -181,9 +180,6 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
     // Sequential jobs=1 fallback: canonical order, stop at the first
     // realizable candidate — by construction the same winner the parallel
     // branch selects.
-    lm::lm_options lm_options = options_.lm;
-    lm_options.cancel = options_.exec.cancel;  // aborts in-flight solves
-    lm_options.sessions = sessions_;
     for (std::size_t i = 0; i < n; ++i) {
       if (pruned[i] != 0) {
         continue;
@@ -214,10 +210,9 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
         continue;
       }
       group.run([&, i] {
-        lm::lm_options lm_options = options_.lm;
-        lm_options.cancel = stops[i].token();
-        lm_options.sessions = sessions_;
-        outcomes[i] = probe(target, candidates[i], budget, lm_options);
+        lm::lm_options task_options = lm_options;
+        task_options.cancel = stops[i].token();
+        outcomes[i] = probe(target, candidates[i], budget, task_options);
         probed[i] = 1;
         if (outcomes[i].result.status == lm::lm_status::realizable) {
           util::lock_guard lock(step_mutex);
@@ -267,11 +262,6 @@ janus_result janus_synthesizer::run(const target_spec& target) {
   // to the run — `target` outlives it, and the next run starts fresh.
   lm::lm_session_pool session_pool(target, options_.lm.encode,
                                    options_.lm.solver);
-  struct session_scope {
-    lm::lm_session_pool** slot;
-    ~session_scope() { *slot = nullptr; }
-  } scope{&sessions_};
-  sessions_ = options_.incremental ? &session_pool : nullptr;
 
   // Constant functions need a single switch hard-wired to 0 or 1.
   if (target.is_constant()) {
@@ -354,7 +344,7 @@ janus_result janus_synthesizer::run(const target_spec& target) {
     }
     const int mp = (lo + hi) / 2;
     std::optional<lattice_mapping> winner =
-        probe_step(target, mp, budget, pool, result.probes);
+        probe_step(target, mp, budget, pool, session_pool, result.probes);
     if (winner.has_value()) {
       best = std::move(*winner);
       hi = best.size();
@@ -471,9 +461,7 @@ std::optional<bound_solution> janus_synthesizer::divide_and_synthesize(
     for (lattice_mapping* part : {&part_g, &part_h}) {
       const target_spec& spec = (part == &part_g) ? gt : ht;
       probe_options.sessions =
-          !options_.incremental ? nullptr
-          : (part == &part_g)   ? &g_sessions
-                                : &h_sessions;
+          (part == &part_g) ? &g_sessions : &h_sessions;
       std::optional<lattice_mapping> found;
       if (part->grid().rows > target_rows) {
         // Taller part: widen until it fits at the reduced height.

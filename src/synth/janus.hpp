@@ -42,15 +42,6 @@ struct janus_options {
   int jobs = 1;
   exec::context exec;  ///< shared pool + external cancellation (optional)
 
-  /// Drive the dichotomic probes through incremental SAT sessions (one
-  /// persistent solver per (target, side), learned clauses kept across the
-  /// ladder, rule-free UNSAT cores pruning dominated candidates). Off =
-  /// scratch mode: fresh encoder + solver per probe. Both modes produce
-  /// bit-identical bounds and solution sizes (tests/test_incremental.cpp);
-  /// session mode spends fewer conflicts/propagations per ladder
-  /// (bench/bench_incremental.cpp).
-  bool incremental = true;
-
   // Upper-bound methods in play. JANUS uses all six; the exact/approx [6]
   // baselines use only the first three ("oub" in Table II).
   bool use_dp = true;
@@ -111,11 +102,11 @@ struct janus_result {
   /// SAT counters summed over every dichotomic probe.
   sat::solver_stats sat_totals;
   /// Dichotomic-ladder probes answered from the UNSAT frontier without
-  /// solving (session mode). Counts the run-level pool only — like
+  /// solving. Counts the run-level pool only — like
   /// `sat_totals`, this covers the ladder, not the DS / MF sub-ladders
   /// (which use their own per-subtarget pools).
   std::uint64_t pruned_probes = 0;
-  /// Incremental sessions created by the ladder's pool (0 in scratch mode).
+  /// Incremental sessions created by the ladder's pool.
   std::uint64_t sessions_created = 0;
   /// Answered from the NP-canonical solution cache: no bounds, no ladder;
   /// `solution` is the inverse-transformed, oracle-re-verified cached
@@ -178,16 +169,18 @@ class janus_synthesizer {
   probe_outcome probe(const lm::target_spec& target, const lattice::dims& d,
                       deadline budget, const lm::lm_options& lm_options);
 
-  /// One dichotomic step: probe every lattice_candidates(mp) entry —
-  /// concurrently when `pool` is non-null — and return the realization of
-  /// the first candidate (in canonical order) that is realizable. A SAT
+  /// One dichotomic step: probe every lattice_candidates(mp) entry through
+  /// the run's `sessions` — concurrently when `pool` is non-null — and
+  /// return the realization of the first candidate (in canonical order)
+  /// that is realizable. A SAT
   /// answer cancels every candidate ranked after it; lower-ranked probes
-  /// always finish, keeping the selected winner deterministic. In session
-  /// mode, candidates dominated by the UNSAT frontier are answered
-  /// unrealizable up front (logged with zero solve time) instead of probed.
+  /// always finish, keeping the selected winner deterministic. Candidates
+  /// dominated by the UNSAT frontier are answered unrealizable up front
+  /// (logged with zero solve time) instead of probed.
   std::optional<lattice::lattice_mapping> probe_step(
       const lm::target_spec& target, int mp, deadline budget,
-      exec::thread_pool* pool, std::vector<probe_record>& log);
+      exec::thread_pool* pool, lm::lm_session_pool& sessions,
+      std::vector<probe_record>& log);
 
   janus_options options_;
   lm::lattice_info_cache cache_;
@@ -195,9 +188,6 @@ class janus_synthesizer {
   std::map<std::pair<int, int>, lm::lm_result> probe_memo_
       JANUS_GUARDED_BY(memo_mutex_);
   sat::solver_stats sat_totals_ JANUS_GUARDED_BY(memo_mutex_);
-  /// Incremental session pool of the in-flight run() (null in scratch mode
-  /// or outside run()); probes lease solvers from here.
-  lm::lm_session_pool* sessions_ = nullptr;
 };
 
 }  // namespace janus::synth

@@ -72,7 +72,6 @@ janus_mf_result run_janus_mf(const std::vector<target_spec>& targets,
       fallback.use_idps = false;
       fallback.use_ds = false;
       fallback.use_structural_lb = false;
-      fallback.incremental = false;
       fallback.solutions = nullptr;  // never cache a fallback as final
       janus_synthesizer rescue(fallback);
       janus_result r = rescue.run(t);
@@ -113,10 +112,8 @@ janus_mf_result run_janus_mf(const std::vector<target_spec>& targets,
   std::vector<std::unique_ptr<lm::lm_session_pool>> session_pools;
   session_pools.reserve(targets.size());
   for (const target_spec& t : targets) {
-    session_pools.push_back(
-        options.incremental
-            ? std::make_unique<lm::lm_session_pool>(t, options.lm.encode)
-            : nullptr);
+    session_pools.push_back(std::make_unique<lm::lm_session_pool>(
+        t, options.lm.encode, options.lm.solver));
   }
   const int max_rows = result.straightforward.grid().grid().rows;
   for (int rows = 2; rows < max_rows && !budget.expired(); ++rows) {

@@ -1,6 +1,8 @@
 #include "util/str.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace janus {
@@ -32,6 +34,21 @@ std::optional<int> parse_int(std::string_view token, int min, int max) {
     return -*magnitude;
   }
   return parse_count(token, min, max);
+}
+
+std::optional<double> parse_seconds(std::string_view token, double min,
+                                    double max) {
+  if (token.empty()) {
+    return std::nullopt;
+  }
+  double value = 0.0;
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::vector<std::string> split_ws(std::string_view text) {

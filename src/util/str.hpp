@@ -22,6 +22,14 @@ namespace janus {
 [[nodiscard]] std::optional<int> parse_int(std::string_view token, int min,
                                            int max);
 
+/// Parse a duration in seconds: a finite decimal (optional '-', digits, an
+/// optional fraction and exponent) with no leading or trailing junk, in
+/// [min, max]. Replaces std::atof at every flag that takes seconds (the
+/// project linter forbids atof: it reads "abc" as 0 and "1O" as 1).
+/// nullopt on any violation, including nan and inf.
+[[nodiscard]] std::optional<double> parse_seconds(std::string_view token,
+                                                  double min, double max);
+
 /// Split `text` on any of the whitespace characters, dropping empty tokens.
 [[nodiscard]] std::vector<std::string> split_ws(std::string_view text);
 

@@ -1,18 +1,20 @@
 // Tests for the incremental solve path: multi-solve() reuse in sat::solver
 // (learned clauses surviving budget expiry and cancellation), lm_session /
-// lm_session_pool probe parity with the scratch encoder, the UNSAT frontier's
-// dominance pruning, the reachability session, and — the acceptance bar —
-// bit-identical bounds and solution sizes between scratch and session mode
+// lm_session_pool probe parity with the one-shot encoder, the UNSAT
+// frontier's dominance pruning, and — the acceptance bar — every definitive
+// probe of a session ladder answered identically by a fresh one-shot solve,
 // at jobs=1 and jobs=8 across the Table II regression instances.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "fuzz/harness.hpp"
 #include "instances/table2.hpp"
 #include "lm/lm_session.hpp"
 #include "lm/lm_solver.hpp"
-#include "lm/reach_encoding.hpp"
 #include "sat/solver.hpp"
 #include "synth/janus.hpp"
 
@@ -112,7 +114,7 @@ TEST(SolverIncremental, ReuseSurvivesInterveningCancelledSolve) {
 
 TEST(SessionPool, FrontierDominance) {
   const target_spec t = target_spec::parse(3, "ab + b'c");
-  lm::lm_session_pool pool(t, {});
+  lm::lm_session_pool pool(t, {}, lm::default_lm_solver_options());
   EXPECT_FALSE(pool.known_unrealizable({1, 1}));
   pool.note_unrealizable({2, 3});
   EXPECT_TRUE(pool.known_unrealizable({2, 3}));
@@ -143,7 +145,7 @@ TEST(SessionParity, LadderMatchesScratchProbeForProbe) {
                                   {3, 3}, {2, 2}, {4, 2}};
   for (const auto& fn : functions) {
     const target_spec t = target_spec::parse(fn.vars, fn.text);
-    lm::lm_session_pool pool(t, {});
+    lm::lm_session_pool pool(t, {}, lm::default_lm_solver_options());
     lm::lm_options session_options;
     session_options.sessions = &pool;
     lm::lm_options scratch_options;
@@ -166,7 +168,8 @@ TEST(SessionParity, LadderMatchesScratchProbeForProbe) {
 TEST(SessionParity, ReusedDimsGroupAddsNoClauses) {
   lm::lattice_info_cache cache;
   const target_spec t = target_spec::parse(3, "ab + b'c");
-  lm::lm_session session(t, /*dual_side=*/false, {});
+  lm::lm_session session(t, /*dual_side=*/false, {},
+                          lm::default_lm_solver_options());
   const auto first = session.probe(cache.get({2, 2}), deadline::never(),
                                    60.0, -1, exec::cancel_token{});
   EXPECT_FALSE(first.reused_group);
@@ -185,7 +188,8 @@ TEST(SessionParity, RuleFreeUnsatMarksGenuineUnrealizability) {
   // must see a rule-free core and the pool must learn the frontier entry.
   lm::lattice_info_cache cache;
   const target_spec t = target_spec::parse(3, "abc");
-  lm::lm_session session(t, /*dual_side=*/false, {});
+  lm::lm_session session(t, /*dual_side=*/false, {},
+                          lm::default_lm_solver_options());
   const auto pr = session.probe(cache.get({2, 2}), deadline::never(), 60.0,
                                 -1, exec::cancel_token{});
   ASSERT_EQ(pr.verdict, sat::solve_result::unsat);
@@ -195,7 +199,8 @@ TEST(SessionParity, RuleFreeUnsatMarksGenuineUnrealizability) {
 TEST(SessionCancellation, CancelledProbeKeepsSessionUsable) {
   lm::lattice_info_cache cache;
   const target_spec t = target_spec::parse(3, "ab + b'c");
-  lm::lm_session session(t, /*dual_side=*/false, {});
+  lm::lm_session session(t, /*dual_side=*/false, {},
+                          lm::default_lm_solver_options());
 
   exec::cancel_source source;
   source.request_cancel();
@@ -214,101 +219,69 @@ TEST(SessionCancellation, CancelledProbeKeepsSessionUsable) {
   EXPECT_EQ(other.verdict, sat::solve_result::sat);
 }
 
-TEST(ReachSession, MatchesOneShotReachability) {
-  const target_spec t = target_spec::parse(3, "ab + b'c");
-  lm::lm_options options;
-  lm::reach_session session(t);
-  const lattice::dims ladder[] = {{2, 2}, {2, 3}, {1, 2}, {2, 2}};
-  for (const lattice::dims& d : ladder) {
-    const lm::lm_result one_shot = lm::solve_lm_reachability(t, d, options);
-    const lm::lm_result inc = session.probe(d, options);
-    EXPECT_EQ(one_shot.status, inc.status) << d.str();
-    if (inc.status == lm::lm_status::realizable) {
-      ASSERT_TRUE(inc.mapping.has_value());
-      EXPECT_TRUE(inc.mapping->realizes(t.function())) << d.str();
-    }
-    if (inc.status == lm::lm_status::unrealizable) {
-      EXPECT_TRUE(inc.definitely_unrealizable) << d.str();
-    }
-  }
-  EXPECT_EQ(session.num_groups(), 3u);  // {2,2} probed twice, encoded once
-}
-
-synth::janus_options determinism_options(bool incremental, int jobs) {
+synth::janus_options determinism_options(int jobs) {
   synth::janus_options o;
   o.time_limit_s = 120.0;
   o.lm.sat_time_limit_s = 30.0;
-  o.incremental = incremental;
   o.jobs = jobs;
   return o;
 }
 
-/// The acceptance bar: scratch and session mode produce bit-identical
-/// bounds and solution sizes, sequentially and under the full parallel
-/// fan-out, on Table II instances small enough that no budget expires.
-TEST(SessionDeterminism, ScratchAndSessionAgreeAtJobs1AndJobs8) {
+/// Run the session ladder and replay its definitive probes through fresh
+/// pool-less solves under `replay` (fuzz::replay_probes_one_shot, the
+/// session_vs_scratch axis's definition).
+synth::janus_result run_and_replay(const target_spec& t, const char* name,
+                                   const synth::janus_options& options,
+                                   const synth::janus_options& replay) {
+  synth::janus_synthesizer engine(options);
+  synth::janus_result r = engine.run(t);
+  EXPECT_TRUE(r.solution.has_value()) << name << " jobs=" << options.jobs;
+  EXPECT_FALSE(r.hit_time_limit) << name << " jobs=" << options.jobs;
+  if (r.solution.has_value()) {
+    EXPECT_TRUE(r.solution->realizes(t.function()))
+        << name << " jobs=" << options.jobs;
+  }
+  const std::optional<std::string> mismatch =
+      fuzz::replay_probes_one_shot(t, replay, r);
+  EXPECT_FALSE(mismatch.has_value())
+      << name << " jobs=" << options.jobs << ": " << mismatch.value_or("");
+  return r;
+}
+
+/// The acceptance bar: every definitive probe of the session ladder —
+/// frontier-pruned ones included — gets the same answer from a fresh
+/// one-shot solve, sequentially and under the full parallel fan-out, on
+/// Table II instances small enough that no budget expires. Equal answers
+/// per probe mean the ladder picks the winner a one-shot ladder would;
+/// jobs=8 must still reproduce jobs=1 bit for bit.
+TEST(SessionDeterminism, ReplayedProbesMatchOneShotAtJobs1AndJobs8) {
   for (const char* name : {"b12_03", "c17_01", "dc1_00", "dc1_02", "dc1_03"}) {
     const target_spec t = instances::make_table2_instance(name);
-
-    synth::janus_synthesizer scratch_engine(determinism_options(false, 1));
-    const synth::janus_result scratch = scratch_engine.run(t);
-    ASSERT_TRUE(scratch.solution.has_value()) << name;
-
-    for (const int jobs : {1, 8}) {
-      synth::janus_synthesizer engine(determinism_options(true, jobs));
-      const synth::janus_result session = engine.run(t);
-      ASSERT_TRUE(session.solution.has_value()) << name << " jobs=" << jobs;
-      EXPECT_EQ(session.solution_size(), scratch.solution_size())
-          << name << " jobs=" << jobs;
-      EXPECT_EQ(session.lower_bound, scratch.lower_bound)
-          << name << " jobs=" << jobs;
-      EXPECT_EQ(session.old_upper_bound, scratch.old_upper_bound)
-          << name << " jobs=" << jobs;
-      EXPECT_EQ(session.new_upper_bound, scratch.new_upper_bound)
-          << name << " jobs=" << jobs;
-      EXPECT_FALSE(session.hit_time_limit) << name << " jobs=" << jobs;
-      EXPECT_TRUE(session.solution->realizes(t.function()))
-          << name << " jobs=" << jobs;
-    }
-
-    // And jobs=8 scratch agrees too (no frontier, pure fan-out).
-    synth::janus_synthesizer par_scratch(determinism_options(false, 8));
-    const synth::janus_result ps = par_scratch.run(t);
-    EXPECT_EQ(ps.solution_size(), scratch.solution_size()) << name;
-    EXPECT_EQ(ps.lower_bound, scratch.lower_bound) << name;
-    EXPECT_EQ(ps.new_upper_bound, scratch.new_upper_bound) << name;
+    const synth::janus_options one = determinism_options(1);
+    const synth::janus_result sequential = run_and_replay(t, name, one, one);
+    const synth::janus_options eight = determinism_options(8);
+    const synth::janus_result parallel = run_and_replay(t, name, eight, eight);
+    EXPECT_EQ(parallel.solution_size(), sequential.solution_size()) << name;
+    EXPECT_EQ(parallel.lower_bound, sequential.lower_bound) << name;
+    EXPECT_EQ(parallel.old_upper_bound, sequential.old_upper_bound) << name;
+    EXPECT_EQ(parallel.new_upper_bound, sequential.new_upper_bound) << name;
   }
 }
 
 /// Inprocessing rewrites the formula underneath the session solvers; the
-/// incremental contract requires that this never shows up in the results.
-/// Compare across the configuration diagonal: scratch with inprocessing OFF
-/// (the most conservative reference) against sessions with inprocessing ON,
-/// at jobs=1 and jobs=8.
-TEST(SessionDeterminism, InprocessingKeepsSizesBitIdentical) {
+/// incremental contract requires that this never shows up in the answers.
+/// Compare across the configuration diagonal: session ladders with
+/// inprocessing ON, at jobs=1 and jobs=8, replayed through one-shot solves
+/// with inprocessing OFF (the most conservative reference).
+TEST(SessionDeterminism, InprocessingKeepsEveryProbeAnswer) {
   for (const char* name : {"b12_03", "dc1_00", "dc1_03"}) {
     const target_spec t = instances::make_table2_instance(name);
-
-    synth::janus_options off = determinism_options(false, 1);
+    synth::janus_options off = determinism_options(1);
     off.lm.solver.inprocess = false;
-    synth::janus_synthesizer baseline_engine(off);
-    const synth::janus_result baseline = baseline_engine.run(t);
-    ASSERT_TRUE(baseline.solution.has_value()) << name;
-
     for (const int jobs : {1, 8}) {
-      synth::janus_options on = determinism_options(true, jobs);
+      synth::janus_options on = determinism_options(jobs);
       on.lm.solver.inprocess = true;
-      synth::janus_synthesizer engine(on);
-      const synth::janus_result session = engine.run(t);
-      ASSERT_TRUE(session.solution.has_value()) << name << " jobs=" << jobs;
-      EXPECT_EQ(session.solution_size(), baseline.solution_size())
-          << name << " jobs=" << jobs;
-      EXPECT_EQ(session.lower_bound, baseline.lower_bound)
-          << name << " jobs=" << jobs;
-      EXPECT_EQ(session.new_upper_bound, baseline.new_upper_bound)
-          << name << " jobs=" << jobs;
-      EXPECT_TRUE(session.solution->realizes(t.function()))
-          << name << " jobs=" << jobs;
+      (void)run_and_replay(t, name, on, off);
     }
   }
 }

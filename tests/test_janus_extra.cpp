@@ -1,6 +1,6 @@
 // Additional end-to-end coverage for the synthesis engine: edge-shaped
-// targets, option toggles, probe memoization, the sequential-AMO encoding
-// variant, and deeper JANUS-vs-optimum sweeps on 4-variable functions.
+// targets, option toggles, probe memoization, and deeper JANUS-vs-optimum
+// sweeps on 4-variable functions.
 #include <gtest/gtest.h>
 
 #include "lm/reach_encoding.hpp"
@@ -79,30 +79,6 @@ TEST(JanusEdge, UnateFunctionsSynthesizeWithoutComplementedCells) {
   ASSERT_TRUE(r.solution.has_value());
   EXPECT_TRUE(r.solution->realizes(t.function()));
   EXPECT_LE(r.solution_size(), 8);
-}
-
-TEST(JanusOptions, SequentialAmoVariantAgrees) {
-  janus_options seq = fast_options();
-  seq.lm.encode.amo_sequential = true;
-  janus_synthesizer a(fast_options());
-  janus_synthesizer b(seq);
-  rng r(201);
-  for (int iter = 0; iter < 5; ++iter) {
-    bf::truth_table f(4);
-    for (std::uint64_t m = 0; m < 16; ++m) {
-      f.set(m, r.next_bool(0.4));
-    }
-    if (f.is_zero() || f.is_one()) {
-      continue;
-    }
-    const target_spec t = target_spec::from_function(f);
-    const auto ra = a.run(t);
-    const auto rb = b.run(t);
-    ASSERT_TRUE(ra.solution.has_value());
-    ASSERT_TRUE(rb.solution.has_value());
-    EXPECT_EQ(ra.solution_size(), rb.solution_size());
-    EXPECT_TRUE(rb.solution->realizes(f));
-  }
 }
 
 TEST(JanusOptions, DisablingBoundMethodsStillSolves) {

@@ -332,11 +332,10 @@ TEST(Solver, PlantedSolutionsAreFoundAndLearntClausesAreSound) {
       }
       f.add_clause(cl);
     }
-    // Aggressive reduction/restarts to exercise clause management.
+    // Aggressive reduction to exercise clause management.
     solver_options o;
     o.reduce_base = 50;
     o.reduce_increment = 20;
-    o.restart_base = 16;
     solver s(o);
     s.add_cnf(f);
     long bad_learnts = 0;

@@ -103,7 +103,6 @@ TEST(SolverStress, GarbageCollectionSurvivesHeavyChurn) {
   solver_options o;
   o.reduce_base = 20;
   o.reduce_increment = 5;
-  o.restart_base = 8;
   solver s(o);
   s.add_cnf(f);
   long bad = 0;
@@ -263,7 +262,6 @@ TEST(SolverStress, BinaryHeavyFormulasAgreeWithBruteForce) {
   solver_options o;
   o.reduce_base = 2;
   o.reduce_increment = 1;
-  o.restart_base = 4;
   std::uint64_t removed = 0;
   for (int iter = 0; iter < 10; ++iter) {
     cnf core;
@@ -352,72 +350,6 @@ TEST(SolverStress, BinaryHeavyFormulasAgreeWithBruteForce) {
     removed += s.stats().removed_clauses;
   }
   EXPECT_GT(removed, 0u);
-}
-
-// --- sequential at-most-one -------------------------------------------------
-
-int count_models(const cnf& f, int projected_vars) {
-  // Count assignments to the first `projected_vars` variables extendable to a
-  // full model.
-  int count = 0;
-  for (std::uint64_t m = 0; m < (std::uint64_t{1} << projected_vars); ++m) {
-    solver s;
-    s.add_cnf(f);
-    std::vector<lit> assume;
-    for (int v = 0; v < projected_vars; ++v) {
-      assume.push_back(lit::make(v, ((m >> v) & 1) == 0));
-    }
-    if (s.solve(assume) == solve_result::sat) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-class SequentialAmo : public ::testing::TestWithParam<int> {};
-
-TEST_P(SequentialAmo, ProjectedModelsMatchPairwise) {
-  const int n = GetParam();
-  cnf pairwise;
-  cnf sequential;
-  std::vector<lit> group;
-  for (int v = 0; v < n; ++v) {
-    pairwise.new_var();
-    sequential.new_var();
-    group.push_back(lit::make(v));
-  }
-  pairwise.exactly_one(group);
-  sequential.exactly_one_sequential(group);
-  EXPECT_EQ(count_models(pairwise, n), n);
-  EXPECT_EQ(count_models(sequential, n), n);
-  if (n > 5) {
-    // The sequential encoding must actually be the compact one (the two tie
-    // at n = 5: 25 literals each).
-    EXPECT_LT(sequential.num_literals(), pairwise.num_literals());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, SequentialAmo,
-                         ::testing::Values(2, 3, 5, 7, 9, 12));
-
-TEST(SequentialAmo, AllowsAllZeros) {
-  cnf f;
-  std::vector<lit> group;
-  for (int v = 0; v < 6; ++v) {
-    f.new_var();
-    group.push_back(lit::make(v));
-  }
-  f.at_most_one_sequential(group);
-  solver s;
-  s.add_cnf(f);
-  std::vector<lit> assume;
-  for (int v = 0; v < 6; ++v) {
-    assume.push_back(lit::make(v, true));
-  }
-  EXPECT_EQ(s.solve(assume), solve_result::sat);
-  // Two set literals must be rejected.
-  const std::vector<lit> two = {lit::make(0), lit::make(5)};
-  EXPECT_EQ(s.solve(two), solve_result::unsat);
 }
 
 }  // namespace

@@ -194,7 +194,6 @@ TEST(Simplify, OnAndOffAgreeOnPlantedInstances) {
     }
     solver_options o = inprocessing_options();
     o.reduce_base = 60;  // churn the learnt DB through vivification rounds
-    o.restart_base = 16;
     solver s(o);
     s.add_cnf(f);
     ASSERT_EQ(s.solve(), solve_result::sat) << "iter " << iter;
@@ -202,15 +201,11 @@ TEST(Simplify, OnAndOffAgreeOnPlantedInstances) {
   }
 }
 
-TEST(Simplify, PigeonholeStaysUnsatUnderBothRestartPolicies) {
-  for (const restart_policy rp : {restart_policy::luby, restart_policy::ema}) {
-    solver_options o = inprocessing_options();
-    o.restart = rp;
-    solver s(o);
-    s.add_cnf(pigeonhole(7));
-    EXPECT_EQ(s.solve(), solve_result::unsat);
-    EXPECT_FALSE(s.okay());  // empty-assumption unsat poisons the solver
-  }
+TEST(Simplify, PigeonholeStaysUnsat) {
+  solver s(inprocessing_options());
+  s.add_cnf(pigeonhole(7));
+  EXPECT_EQ(s.solve(), solve_result::unsat);
+  EXPECT_FALSE(s.okay());  // empty-assumption unsat poisons the solver
 }
 
 TEST(Simplify, RealEncoderInstancesAgreeWithBaselineSolver) {

@@ -203,6 +203,44 @@ TEST(Str, FormatFixed) {
   EXPECT_EQ(format_fixed(2.0, 1), "2.0");
 }
 
+TEST(Str, ParseSecondsAcceptsFiniteDecimals) {
+  EXPECT_EQ(parse_seconds("5", 0.0, 60.0), 5.0);
+  EXPECT_EQ(parse_seconds("0.25", 0.0, 60.0), 0.25);
+  EXPECT_EQ(parse_seconds("1e1", 0.0, 60.0), 10.0);
+  EXPECT_EQ(parse_seconds("0", 0.0, 60.0), 0.0);
+  EXPECT_EQ(parse_seconds("60", 0.0, 60.0), 60.0);  // bounds are inclusive
+}
+
+TEST(Str, ParseSecondsRejectsGarbage) {
+  EXPECT_FALSE(parse_seconds("", 0.0, 60.0).has_value());
+  EXPECT_FALSE(parse_seconds("abc", 0.0, 60.0).has_value());
+  EXPECT_FALSE(parse_seconds(".", 0.0, 60.0).has_value());
+  EXPECT_FALSE(parse_seconds("+5", 0.0, 60.0).has_value());
+  EXPECT_FALSE(parse_seconds(" 5", 0.0, 60.0).has_value());
+}
+
+TEST(Str, ParseSecondsRejectsTrailingJunk) {
+  EXPECT_FALSE(parse_seconds("1O", 0.0, 60.0).has_value());
+  EXPECT_FALSE(parse_seconds("5s", 0.0, 60.0).has_value());
+  EXPECT_FALSE(parse_seconds("5 ", 0.0, 60.0).has_value());
+  EXPECT_FALSE(parse_seconds("1.5.2", 0.0, 60.0).has_value());
+}
+
+TEST(Str, ParseSecondsRejectsNonFinite) {
+  for (const char* token : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    EXPECT_FALSE(parse_seconds(token, -1e300, 1e300).has_value()) << token;
+  }
+  EXPECT_FALSE(parse_seconds("1e999", 0.0, 1e300).has_value());  // overflow
+}
+
+TEST(Str, ParseSecondsRejectsOutOfRange) {
+  EXPECT_FALSE(parse_seconds("-1", 0.0, 60.0).has_value());
+  EXPECT_FALSE(parse_seconds("-0.5", 0.0, 60.0).has_value());
+  EXPECT_FALSE(parse_seconds("60.5", 0.0, 60.0).has_value());
+  EXPECT_FALSE(parse_seconds("0", 0.001, 60.0).has_value());
+  EXPECT_EQ(parse_seconds("-1", -5.0, 60.0), -1.0);  // sign allowed in range
+}
+
 TEST(Log, LevelFiltering) {
   const log_level before = get_log_level();
   set_log_level(log_level::off);

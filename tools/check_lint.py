@@ -23,11 +23,12 @@ listing every violation:
   R3  No naked `new` expressions in src/, tools/ or bench/ — ownership goes
       through make_unique/make_shared/containers.
 
-  R4  No std::stoi/stol/stoll/atoi/atol/atoll/rand/srand in src/, tools/ or
-      bench/. The strict parsers (`src/util/str.hpp`: parse_count/parse_int)
-      and the project RNG (`src/util/rng.hpp`) replace them; atoi maps
-      garbage to 0 silently, stoi accepts trailing junk, rand() is
-      per-process hidden state.
+  R4  No std::stoi/stol/stoll/atoi/atol/atoll/atof/rand/srand in src/,
+      tools/ or bench/. The strict parsers (`src/util/str.hpp`:
+      parse_count/parse_int/parse_seconds) and the project RNG
+      (`src/util/rng.hpp`) replace them; atoi and atof map garbage to 0
+      silently, stoi accepts trailing junk, rand() is per-process hidden
+      state.
 
   R5  Every bench main that emits a BENCH_* JSON document opens it through
       `bench/bench_args.hpp`:bench_json_header, so all documents share one
@@ -73,7 +74,7 @@ UNGUARDED_TAG_RE = re.compile(r"//\s*lint:\s*unguarded\([^)]+\)")
 NAKED_NEW_RE = re.compile(r"\bnew\b\s*[A-Za-z_(:]")
 
 BANNED_CALL_RE = re.compile(
-    r"(?:std::)?\b(stoi|stol|stoll|stoul|stoull|atoi|atol|atoll|srand)\s*\("
+    r"(?:std::)?\b(stoi|stol|stoll|stoul|stoull|atoi|atol|atoll|atof|srand)\s*\("
     r"|std::rand\s*\(|\brand\s*\(\s*\)"
 )
 
@@ -173,8 +174,9 @@ def check_banned_calls(rel: str, text: str) -> list[str]:
         if m:
             what = m.group(1) or "rand"
             errors.append(
-                f"{rel}:{line_no}: R4 {what}() — use parse_count/parse_int "
-                "(src/util/str.hpp) or the project RNG (src/util/rng.hpp)"
+                f"{rel}:{line_no}: R4 {what}() — use parse_count/parse_int/"
+                "parse_seconds (src/util/str.hpp) or the project RNG "
+                "(src/util/rng.hpp)"
             )
     return errors
 
@@ -320,6 +322,20 @@ SELF_TEST_FIXTURES = [
         "tools/fixture.cpp",
         "int n = atoi(argv[1]);\n",
         True,
+    ),
+    (
+        "std::atof",
+        check_banned_calls,
+        "tools/fixture.cpp",
+        "double t = std::atof(argv[1]);\n",
+        True,
+    ),
+    (
+        "parse_seconds is fine",
+        check_banned_calls,
+        "tools/fixture.cpp",
+        "auto t = janus::parse_seconds(argv[1], 0.0, 60.0);\n",
+        False,
     ),
     (
         "parse_count is fine",

@@ -19,14 +19,9 @@
 //   -s SECONDS     per-SAT-call limit (default 10)
 //   -j N, --jobs N worker threads (default 1: fully sequential). N >= 2
 //                  enables the dichotomic probe fan-out and batch sharding.
-//   --incremental / --no-incremental
-//                  incremental SAT sessions across the dichotomic ladder
-//                  (default: on). See docs/architecture.md.
 //   --inprocess / --no-inprocess
 //                  SAT inprocessing (variable elimination, vivification,
 //                  probing; default: on). See docs/solver.md.
-//   --restart luby|ema
-//                  solver restart policy (default: ema)
 //   --stats        print the aggregated SAT solver counters after the run
 //   --cache FILE   persist the NP-canonical solution cache: load FILE when it
 //                  exists, save it back after the run — repeated runs answer
@@ -40,12 +35,14 @@
 //                  docs/backends.md.
 //   -q / -v        quiet / verbose logging
 //
-// The full reference lives in docs/cli.md.
+// Durations must be finite decimals (no trailing junk); an unknown flag or a
+// malformed value exits 2 with the usage line. The full reference lives in
+// docs/cli.md.
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,13 +70,15 @@ using janus::lm::target_spec;
 /// instead of losing the session's entries to an abrupt exit.
 janus::exec::cancel_source g_interrupt;
 
+/// Accepted range of the -t / -s budgets, in seconds.
+constexpr double kMinSeconds = 0.001;
+constexpr double kMaxSeconds = 1e7;
+
 struct cli_config {
   double time_limit = 60.0;
   double sat_limit = 10.0;
   int jobs = 1;
-  bool incremental = true;
   bool inprocess = true;
-  std::string restart = "ema";
   bool show_stats = false;
   bool use_cache = true;       ///< in-memory NP-canonical solution reuse
   std::string cache_path;      ///< optional on-disk persistence (--cache)
@@ -95,8 +94,7 @@ int usage() {
                "usage: janus <synth|batch|map|bounds|table1|compare> [args] "
                "[-p file.pla] [-o N] [-t sec] [-s sec] [-j jobs] [-m method] "
                "[--backend name|portfolio] "
-               "[--incremental|--no-incremental] "
-               "[--inprocess|--no-inprocess] [--restart luby|ema] [--stats] "
+               "[--inprocess|--no-inprocess] [--stats] "
                "[--cache file|--no-cache] [-q|-v]\n");
   return 2;
 }
@@ -114,8 +112,6 @@ int parse_vars(const std::string& text) {
 janus::sat::solver_options make_solver_options(const cli_config& cfg) {
   janus::sat::solver_options o = janus::lm::default_lm_solver_options();
   o.inprocess = cfg.inprocess;
-  o.restart = cfg.restart == "ema" ? janus::sat::restart_policy::ema
-                                   : janus::sat::restart_policy::luby;
   return o;
 }
 
@@ -125,7 +121,6 @@ janus::synth::janus_options make_options(const cli_config& cfg) {
   o.lm.sat_time_limit_s = cfg.sat_limit;
   o.lm.solver = make_solver_options(cfg);
   o.jobs = cfg.jobs;
-  o.incremental = cfg.incremental;
   o.exec.cancel = g_interrupt.token();
   return o;
 }
@@ -419,14 +414,14 @@ int cmd_batch(const cli_config& cfg) {
   }
   std::printf(
       "batch: %d/%zu solved, %d switches total, %llu probes (%llu pruned), "
-      "%llu conflicts, %llu propagations, %.2fs wall (jobs=%d, %s), "
+      "%llu conflicts, %llu propagations, %.2fs wall (jobs=%d), "
       "cache: %llu hits / %llu misses\n",
       b.solved, targets.size(), b.total_switches,
       static_cast<unsigned long long>(b.total_probes),
       static_cast<unsigned long long>(b.pruned_probes),
       static_cast<unsigned long long>(b.solver_totals.conflicts),
       static_cast<unsigned long long>(b.solver_totals.propagations), b.seconds,
-      cfg.jobs, cfg.incremental ? "incremental" : "scratch",
+      cfg.jobs,
       static_cast<unsigned long long>(b.cache_hits),
       static_cast<unsigned long long>(b.cache_misses));
   if (cfg.show_stats) {
@@ -563,33 +558,21 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "-t") {
+    if (arg == "-t" || arg == "-s") {
       const char* v = next();
-      if (v == nullptr) return usage();
-      cfg.time_limit = std::atof(v);
-    } else if (arg == "-s") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      cfg.sat_limit = std::atof(v);
+      const std::optional<double> seconds =
+          v == nullptr ? std::nullopt
+                       : janus::parse_seconds(v, kMinSeconds, kMaxSeconds);
+      if (!seconds.has_value()) return usage();
+      (arg == "-t" ? cfg.time_limit : cfg.sat_limit) = *seconds;
     } else if (arg == "-j" || arg == "--jobs") {
       const char* v = next();
       if (v == nullptr) return usage();
       cfg.jobs = std::max(1, janus::parse_count(v, 1, 4096).value_or(1));
-    } else if (arg == "--incremental") {
-      cfg.incremental = true;
-    } else if (arg == "--no-incremental") {
-      cfg.incremental = false;
     } else if (arg == "--inprocess") {
       cfg.inprocess = true;
     } else if (arg == "--no-inprocess") {
       cfg.inprocess = false;
-    } else if (arg == "--restart") {
-      const char* v = next();
-      if (v == nullptr || (std::strcmp(v, "luby") != 0 &&
-                           std::strcmp(v, "ema") != 0)) {
-        return usage();
-      }
-      cfg.restart = v;
     } else if (arg == "--stats") {
       cfg.show_stats = true;
     } else if (arg == "--cache") {
@@ -629,6 +612,9 @@ int main(int argc, char** argv) {
       janus::set_log_level(janus::log_level::off);
     } else if (arg == "-v") {
       janus::set_log_level(janus::log_level::info);
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      std::fprintf(stderr, "janus: unknown option %s\n", arg.c_str());
+      return usage();
     } else {
       cfg.positional.push_back(arg);
     }

@@ -112,13 +112,13 @@ int main(int argc, char** argv) {
       options.max_cases = *value;
     } else if (arg == "--budget-seconds") {
       const char* text = next();
-      if (text == nullptr) {
+      const auto seconds = text == nullptr
+                               ? std::nullopt
+                               : janus::parse_seconds(text, 0.001, 1e7);
+      if (!seconds.has_value()) {
         return usage();
       }
-      options.budget_seconds = std::atof(text);
-      if (options.budget_seconds <= 0.0) {
-        return usage();
-      }
+      options.budget_seconds = *seconds;
     } else if (arg == "--seed") {
       const auto value = parse_u64_arg(next());
       if (!value) {

@@ -88,12 +88,21 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.queue_capacity = static_cast<std::size_t>(*n);
-    } else if (arg == "--default-deadline") {
-      cfg.default_deadline_s = std::atof(need_value(i++));
-    } else if (arg == "--drain-grace") {
-      cfg.drain_grace_s = std::atof(need_value(i++));
-    } else if (arg == "--time-limit") {
-      cfg.time_limit_s = std::atof(need_value(i++));
+    } else if (arg == "--default-deadline" || arg == "--drain-grace" ||
+               arg == "--time-limit") {
+      // Zero means "unlimited" for the default deadline and "cancel at
+      // once" for the drain grace; an engine budget must be positive.
+      const double min = arg == "--time-limit" ? 0.001 : 0.0;
+      const auto s = janus::parse_seconds(need_value(i++), min, 1e7);
+      if (!s.has_value()) {
+        std::fprintf(stderr, "janusd: %s needs seconds in [%g, 1e7]\n",
+                     arg.c_str(), min);
+        usage(argv[0]);
+        return 2;
+      }
+      (arg == "--default-deadline" ? cfg.default_deadline_s
+       : arg == "--drain-grace"    ? cfg.drain_grace_s
+                                   : cfg.time_limit_s) = *s;
     } else if (arg == "--verbose") {
       cfg.verbose = true;
     } else if (arg == "-h" || arg == "--help") {
