@@ -4,8 +4,9 @@
 // explicit `--seed N`, and echoes the seed in its JSON header — a committed
 // BENCH_* document therefore names the exact instance-generation salt that
 // produced it (seed 0, the default, is the canonical Table II stand-in set;
-// see `make_table2_instance` in `table2.hpp`). Header-only on purpose: the
-// benches are standalone mains and janus_core must not depend on them.
+// see `make_table2_instance` in `table2.hpp`) and the build that measured
+// it. Header-only on purpose: the benches are standalone mains and
+// janus_core must not depend on them.
 #pragma once
 
 #include <cstdint>
@@ -14,19 +15,29 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "util/json_writer.hpp"
 
 namespace janus::bench {
 
-/// Opening lines shared by every BENCH_* document — `{`, "bench", "seed" —
-/// with string escaping through util::json_escape, so all emitters share one
-/// escaper instead of N printf format strings.
+/// Opening lines shared by every BENCH_* document — `{`, "bench", "seed"
+/// and the provenance fields "rev", "build_type", "compiler",
+/// "hardware_threads" — with string escaping through util::json_escape, so
+/// all emitters share one escaper instead of N printf format strings. The
+/// JANUS_GIT_REV/BUILD_TYPE/COMPILER macros come from CMakeLists.txt.
 [[nodiscard]] inline std::string bench_json_header(std::string_view bench,
                                                    std::uint64_t seed) {
-  return "{\n  \"bench\": \"" + util::json_escape(bench) +
-         "\",\n  \"seed\": " + std::to_string(seed) + ",\n";
+  const auto text = [](std::string_view key, std::string_view value) {
+    return "  \"" + std::string(key) + "\": \"" + util::json_escape(value) +
+           "\",\n";
+  };
+  return "{\n" + text("bench", bench) + "  \"seed\": " +
+         std::to_string(seed) + ",\n" + text("rev", JANUS_GIT_REV) +
+         text("build_type", JANUS_BUILD_TYPE) +
+         text("compiler", JANUS_COMPILER) + "  \"hardware_threads\": " +
+         std::to_string(std::thread::hardware_concurrency()) + ",\n";
 }
 
 struct bench_args {

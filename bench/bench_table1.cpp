@@ -1,12 +1,9 @@
 // Reproduces Table I: the number of products in the m×n lattice function
 // (irredundant 4-connected top–bottom paths) and in its dual (8-connected
 // left–right paths), 2 ≤ m,n ≤ 8. These must match the paper bit for bit.
-//
-// Also registers google-benchmark timers for the path enumerator itself.
-#include <benchmark/benchmark.h>
-
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "lattice/paths.hpp"
 #include "util/timer.hpp"
@@ -15,7 +12,6 @@ namespace {
 
 using janus::lattice::connectivity;
 using janus::lattice::count_paths;
-using janus::lattice::dims;
 using janus::lattice::paper_table1;
 
 bool run_table1() {
@@ -53,29 +49,6 @@ bool run_table1() {
   return all_match;
 }
 
-void BM_EnumeratePaths4TB(benchmark::State& state) {
-  const dims d{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(count_paths(d, connectivity::four_top_bottom));
-  }
-}
-BENCHMARK(BM_EnumeratePaths4TB)
-    ->Args({4, 4})->Args({5, 5})->Args({6, 6})->Args({7, 7});
-
-void BM_EnumeratePaths8LR(benchmark::State& state) {
-  const dims d{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(count_paths(d, connectivity::eight_left_right));
-  }
-}
-BENCHMARK(BM_EnumeratePaths8LR)
-    ->Args({4, 4})->Args({5, 5})->Args({6, 6});
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool ok = run_table1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return ok ? 0 : 1;
-}
+int main() { return run_table1() ? 0 : 1; }

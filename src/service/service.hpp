@@ -2,10 +2,9 @@
 // warm caches, graceful drain.
 //
 // `synthesis_service` is transport-agnostic — the socket front-end
-// (src/service/socket_server.hpp), the in-process load driver
-// (bench/bench_service.cpp), the protocol fuzz axis and the unit tests all
-// feed it protocol lines through `submit_line` and receive response lines
-// through a callback. The pipeline:
+// (src/service/socket_server.hpp), the janusbench `service` workload, the
+// protocol fuzz axis and the unit tests all feed it protocol lines through
+// `submit_line` and receive response lines through a callback. The pipeline:
 //
 //   submit_line ──► parse (protocol.hpp) ──► stats/ping/shutdown: answered
 //        │                                   inline, even under full load

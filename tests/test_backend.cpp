@@ -2,11 +2,15 @@
 // registered backend (deadline honored, cancellation non-destructive, sane
 // stats and oracle-verified results), then the ESOP and chain engines are
 // pinned to known-optimal term/step counts on small functions, and the
-// portfolio's racing/selection semantics are exercised end to end.
+// portfolio's racing/selection semantics are exercised end to end, solo and
+// raced over a short Table II slice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/backend.hpp"
@@ -363,6 +367,116 @@ TEST(portfolio, unknown_backend_name_throws_typed) {
   options.backends = {"no-such-engine"};
   EXPECT_THROW(
       { (void)synth::run_portfolio(small_target(), options); }, check_error);
+}
+
+// ---------------------------------------------------------------------------
+// Portfolio over a Table II slice: the first five rows with <= 6 inputs (the
+// chain backend's cap), 2 s budgets, the cross-representation core of the
+// registry.
+
+const std::vector<std::string>& slice_backends() {
+  static const std::vector<std::string> names = {"janus", "exact6", "esop",
+                                                 "chain"};
+  return names;
+}
+
+constexpr double kSliceBudgetS = 2.0;
+
+std::vector<target_spec> portfolio_slice() {
+  std::vector<target_spec> targets;
+  for (const instances::table2_row& row : instances::table2_rows()) {
+    if (row.inputs <= 6 && targets.size() < 5) {
+      targets.push_back(instances::make_table2_instance(row, nullptr, 0));
+    }
+  }
+  return targets;
+}
+
+backend_result run_solo(const std::string& name, const target_spec& target,
+                        int jobs) {
+  backend_request request;
+  request.target = target;
+  request.dl = deadline::in_seconds(kSliceBudgetS);
+  request.jobs = jobs;
+  request.base.time_limit_s = kSliceBudgetS;
+  request.base.lm.sat_time_limit_s = kSliceBudgetS;
+  return backend::make_backend(name)->run(request);
+}
+
+synth::portfolio_result run_race(const target_spec& target) {
+  synth::portfolio_options options;
+  options.backends = slice_backends();
+  options.base.time_limit_s = kSliceBudgetS;
+  options.base.lm.sat_time_limit_s = kSliceBudgetS;
+  return synth::run_portfolio(target, options,
+                              deadline::in_seconds(kSliceBudgetS));
+}
+
+TEST(portfolio_slice, solo_and_raced_results_are_sound) {
+  for (const target_spec& target : portfolio_slice()) {
+    const bf::truth_table f = target.function();
+    std::map<std::string, backend_result> solo;
+    for (const std::string& name : slice_backends()) {
+      backend_result run = run_solo(name, target, 1);
+      // Every backend is sound: solved or a typed timeout, never `failed`
+      // (stricter than "wins a race or is never failed").
+      EXPECT_NE(run.status, backend_status::failed)
+          << target.name() << " " << name << ": " << run.detail;
+      if (run.realized != nullptr) {
+        EXPECT_TRUE(run.realized->verify(f)) << target.name() << " " << name;
+      }
+      if (run.status == backend_status::solved) {
+        // Agreement is undefined mid-ladder, so only a solved rerun counts.
+        const backend_result rerun = run_solo(name, target, 4);
+        if (rerun.status == backend_status::solved) {
+          EXPECT_EQ(rerun.cost(), run.cost()) << target.name() << " " << name;
+        }
+      }
+      solo.emplace(name, std::move(run));
+    }
+    const backend_result& lattice = solo.at("janus");
+    const backend_result& exact = solo.at("exact6");
+    if (lattice.status == backend_status::solved &&
+        exact.status == backend_status::solved && exact.optimal) {
+      EXPECT_GE(lattice.cost(), exact.cost()) << target.name();
+    }
+
+    const synth::portfolio_result race = run_race(target);
+    if (const backend_result* win = race.winning()) {
+      EXPECT_TRUE(win->realized->verify(f)) << target.name();
+    }
+  }
+}
+
+// Timing contract, registered as its own serial ctest entry. A definitive
+// entry cancels only the entries ranked after it, so every entry ranked at
+// or before the winner runs to completion: the race takes as long as the
+// slowest of those solo, plus a dispatch allowance. Racing on fewer hardware
+// threads than backends serializes the entries, so the bound is only
+// meaningful with one thread per backend.
+TEST(portfolio_wall, race_within_slowest_solo_ranked_up_to_winner) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw < slice_backends().size()) {
+    GTEST_SKIP() << hw << " hardware threads < " << slice_backends().size()
+                 << " backends";
+  }
+  for (const target_spec& target : portfolio_slice()) {
+    std::vector<double> solo_wall;
+    for (const std::string& name : slice_backends()) {
+      solo_wall.push_back(run_solo(name, target, 1).seconds);
+    }
+    const synth::portfolio_result race = run_race(target);
+    const std::size_t ranked =
+        race.winner >= 0 ? static_cast<std::size_t>(race.winner) + 1
+                         : solo_wall.size();
+    const auto ranked_end =
+        solo_wall.begin() + static_cast<std::ptrdiff_t>(ranked);
+    const double reference = *std::max_element(solo_wall.begin(), ranked_end);
+    const double allowance = std::max(0.25, 0.25 * reference);
+    EXPECT_LE(race.seconds, reference + allowance)
+        << target.name() << ": winner rank " << race.winner
+        << ", slowest solo up to it " << reference << " s";
+  }
 }
 
 }  // namespace

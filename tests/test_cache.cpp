@@ -4,10 +4,15 @@
 // JANUS-MF run and the malformed-PLA crash it used to cause.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "bf/np_transform.hpp"
 #include "cache/solution_cache.hpp"
+#include "instances/table2.hpp"
 #include "synth/batch.hpp"
 #include "synth/janus.hpp"
 #include "synth/janus_mf.hpp"
@@ -284,6 +289,47 @@ TEST(SolutionCache, BatchCountsHitsAndMisses) {
   for (std::size_t i = 0; i < targets.size(); ++i) {
     EXPECT_EQ(b2.results[i].solution_size(), b1.results[i].solution_size());
     EXPECT_TRUE(b2.results[i].solution->realizes(targets[i].function()));
+  }
+}
+
+// A Table II batch run twice against one on-disk store: run 2 loads the
+// store run 1 saved into a fresh cache and must answer at least 30% of the
+// targets from it, at bit-identical sizes. Every hit has already passed the
+// BFS-oracle re-check inside solution_cache::lookup.
+TEST(SolutionCache, TableTwoBatchRerunsFromPersistedStore) {
+  std::vector<target_spec> targets;
+  for (const instances::table2_row& row : instances::table2_rows()) {
+    if (row.inputs <= 6 && row.products <= 8 && targets.size() < 12) {
+      targets.push_back(instances::make_table2_instance(row, nullptr, 0));
+    }
+  }
+  ASSERT_EQ(targets.size(), 12u);
+  const auto run_batch = [&](solution_cache* store) {
+    synth::batch_options o;
+    o.base.time_limit_s = 30.0;
+    o.base.lm.sat_time_limit_s = 10.0;
+    o.base.solutions = store;
+    o.jobs = 1;
+    return synth::synthesize_batch(targets, o);
+  };
+  const std::string path = ::testing::TempDir() + "janus_cache_rerun_" +
+                           std::to_string(::getpid()) + ".store";
+  solution_cache first_store;
+  const auto first = run_batch(&first_store);
+  first_store.save_file(path);
+
+  solution_cache second_store;
+  ASSERT_TRUE(second_store.load_file(path));
+  std::remove(path.c_str());
+  const auto second = run_batch(&second_store);
+
+  EXPECT_GT(second.cache_hits, 0u);
+  EXPECT_GE(static_cast<double>(second.cache_hits),
+            0.30 * static_cast<double>(targets.size()));
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(second.results[i].solution_size(),
+              first.results[i].solution_size())
+        << targets[i].name();
   }
 }
 

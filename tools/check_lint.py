@@ -32,8 +32,7 @@ listing every violation:
 
   R5  Every bench main that emits a BENCH_* JSON document opens it through
       `bench/bench_args.hpp`:bench_json_header, so all documents share one
-      "bench"/"seed" preamble (and one string escaper). google-benchmark
-      mains (bench_sat, bench_table1) are exempt.
+      "bench"/"seed"/provenance preamble (and one string escaper).
 
   R6  Every tests/test_*.cpp is listed in CMakeLists.txt — a test committed
       but not registered never runs, which reads as green forever.
@@ -77,8 +76,6 @@ BANNED_CALL_RE = re.compile(
     r"(?:std::)?\b(stoi|stol|stoll|stoul|stoull|atoi|atol|atoll|atof|srand)\s*\("
     r"|std::rand\s*\(|\brand\s*\(\s*\)"
 )
-
-R5_WHITELIST = {"bench/bench_sat.cpp", "bench/bench_table1.cpp"}
 
 NOLINT_RE = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?")
 NOLINT_OK_RE = re.compile(r"NOLINT(?:NEXTLINE)?\([a-zA-Z0-9_.\-, ]+\)\s*:\s*\S")
@@ -182,7 +179,7 @@ def check_banned_calls(rel: str, text: str) -> list[str]:
 
 
 def check_bench_header(rel: str, text: str) -> list[str]:
-    if not rel.startswith("bench/") or rel in R5_WHITELIST:
+    if not rel.startswith("bench/"):
         return []
     if not rel.endswith(".cpp") or "int main" not in text:
         return []
