@@ -17,16 +17,6 @@ constexpr int kLongProductThreshold = 5;
 constexpr std::uint64_t kMaxRuleAuxVars = 50'000;
 }  // namespace
 
-std::vector<std::uint64_t> onset_entries(const bf::truth_table& f) {
-  std::vector<std::uint64_t> out;
-  for (std::uint64_t m = 0; m < f.num_minterms(); ++m) {
-    if (f.get(m)) {
-      out.push_back(m);
-    }
-  }
-  return out;
-}
-
 std::uint64_t estimate_encoding_clauses(const target_spec& target,
                                         const lattice_info& info,
                                         bool dual_side,
@@ -90,6 +80,28 @@ std::vector<cell_assign> build_target_literals(const target_spec& target,
   return tl;
 }
 
+std::vector<std::uint64_t> support_entries(const bf::truth_table& side_function,
+                                           const std::vector<cell_assign>& tl) {
+  std::uint64_t mask = 0;
+  for (const cell_assign& a : tl) {
+    if (!a.is_constant()) {
+      mask |= std::uint64_t{1} << a.var;
+    }
+  }
+  for (int v = 0; v < side_function.num_vars(); ++v) {
+    JANUS_CHECK_MSG(((mask >> v) & 1) != 0 || side_function.independent_of(v),
+                    "side function depends on a variable outside its TL");
+  }
+  // Ascending submasks of `mask`.
+  std::vector<std::uint64_t> entries;
+  std::uint64_t m = 0;
+  do {
+    entries.push_back(m);
+    m = (m - mask) & mask;
+  } while (m != 0);
+  return entries;
+}
+
 // --------------------------------------------------------------------------
 // lm_emitter — the shared clause-emission engine
 // --------------------------------------------------------------------------
@@ -137,12 +149,12 @@ void lm_emitter::emit_exactly_one(int cell) {
   stats_.link_clauses += out_.num_clauses() - before;
 }
 
-void lm_emitter::emit_links(int cell, std::uint64_t entry) {
+void lm_emitter::emit_links(int cell, std::size_t i) {
   const std::uint64_t before = out_.num_clauses();
+  const sat::lit value = layout_.val_lit(cell, i);
   for (std::size_t j = 0; j < tl_.size(); ++j) {
     const sat::lit mv = layout_.map_lit(cell, j);
-    const sat::lit value = layout_.val_lit(cell, entry);
-    if (tl_[j].eval(entry)) {
+    if (tl_[j].eval(layout_.entries[i])) {
       out_.add_binary(~mv, value);
     } else {
       out_.add_binary(~mv, ~value);
@@ -151,16 +163,16 @@ void lm_emitter::emit_links(int cell, std::uint64_t entry) {
   stats_.link_clauses += out_.num_clauses() - before;
 }
 
-void lm_emitter::emit_entry(std::uint64_t entry, bool target_value) {
+void lm_emitter::emit_entry(std::size_t i) {
   const std::uint64_t before = out_.num_clauses();
-  if (!target_value) {
+  if (!side_function_->get(layout_.entries[i])) {
     // Every irredundant path must be broken at this entry.
     std::vector<sat::lit> clause;
     for (const lattice::path& p : *side_paths_) {
       clause.clear();
       clause.reserve(p.cells.size());
       for (const std::uint16_t cell : p.cells) {
-        clause.push_back(~layout_.val_lit(cell, entry));
+        clause.push_back(~layout_.val_lit(cell, i));
       }
       add(clause);
     }
@@ -175,7 +187,7 @@ void lm_emitter::emit_entry(std::uint64_t entry, bool target_value) {
     const sat::lit sel = sat::lit::make(out_.new_var());
     selectors.push_back(sel);
     for (const std::uint16_t cell : p.cells) {
-      add({~sel, layout_.val_lit(cell, entry)});
+      add({~sel, layout_.val_lit(cell, i)});
     }
   }
   add(selectors);
@@ -190,7 +202,7 @@ void lm_emitter::emit_entry(std::uint64_t entry, bool target_value) {
       line_clause.clear();
       for (int k = 0; k < per_line; ++k) {
         const int cell = dual_side_ ? info_->d.cell(k, line) : info_->d.cell(line, k);
-        line_clause.push_back(layout_.val_lit(cell, entry));
+        line_clause.push_back(layout_.val_lit(cell, i));
       }
       add(line_clause);
     }
@@ -207,8 +219,8 @@ void lm_emitter::emit_entry(std::uint64_t entry, bool target_value) {
           const int b = dual_side_ ? info_->d.cell(k2, line + 1)
                                    : info_->d.cell(line + 1, k2);
           const sat::lit both = sat::lit::make(out_.new_var());
-          add({~both, layout_.val_lit(a, entry)});
-          add({~both, layout_.val_lit(b, entry)});
+          add({~both, layout_.val_lit(a, i)});
+          add({~both, layout_.val_lit(b, i)});
           pair_clause.push_back(both);
         }
       }
@@ -360,13 +372,13 @@ lm_encoder::lm_encoder(const target_spec& target, const lattice_info& info,
 
 void lm_encoder::build() {
   tl_ = build_target_literals(target_, dual_side_, options_);
-  const bf::truth_table& side_function =
-      dual_side_ ? target_.dual_function() : target_.function();
+  layout_.entries = support_entries(
+      dual_side_ ? target_.dual_function() : target_.function(), tl_);
 
   // Contiguous two-block layout: all mapping vars, then all value vars
-  // (value vars entry-major: val[cell][e] = val_base + e * cells + cell).
+  // (value vars entry-major: val[cell][i] = val_base + i * cells + cell).
   const int cells = info_.d.size();
-  const std::uint64_t entries = side_function.num_minterms();
+  const std::size_t entries = layout_.entries.size();
   const sat::var map_base = formula_.new_vars(cells * static_cast<int>(tl_.size()));
   const sat::var val_base =
       formula_.new_vars(cells * static_cast<int>(entries));
@@ -384,13 +396,13 @@ void lm_encoder::build() {
   for (int cell = 0; cell < cells; ++cell) {
     emitter.emit_exactly_one(cell);
   }
-  for (std::uint64_t e = 0; e < entries; ++e) {
+  for (std::size_t i = 0; i < entries; ++i) {
     for (int cell = 0; cell < cells; ++cell) {
-      emitter.emit_links(cell, e);
+      emitter.emit_links(cell, i);
     }
   }
-  for (std::uint64_t e = 0; e < entries; ++e) {
-    emitter.emit_entry(e, side_function.get(e));
+  for (std::size_t i = 0; i < entries; ++i) {
+    emitter.emit_entry(i);
   }
   emitter.emit_rules();
 

@@ -4,6 +4,7 @@
 //   * mapping variables  mv[cell][j]   — cell is wired to target-literal j,
 //   * value variables    val[cell][e]  — the cell's control value at truth
 //                                        table entry e (the paper's lv_tte),
+//                                        one per distinct entry (see below),
 //   * per-ON-entry path selectors, and optional rule/auxiliary variables.
 //
 // Clause groups (mirroring the paper):
@@ -79,6 +80,17 @@ struct lm_encoding_stats {
     const target_spec& target, bool dual_side,
     const lm_encode_options& options);
 
+/// The distinct truth-table entries of one problem side, ascending: every
+/// assignment to the variables some TL literal mentions, with all other bits
+/// zero. Entries that agree on those variables get equal cell values from
+/// the link clauses and equal side-function values (checked here: the side
+/// function must depend on nothing else), so one value variable per
+/// distinct entry encodes the same problem. A full support gives the
+/// identity table.
+[[nodiscard]] std::vector<std::uint64_t> support_entries(
+    const bf::truth_table& side_function,
+    const std::vector<lattice::cell_assign>& tl);
+
 /// Where the mv/val variables of one problem side live. The scratch encoder
 /// lays both out as two contiguous blocks; the incremental session grows one
 /// block per cell slot as the ladder demands larger lattices. The emitter
@@ -87,14 +99,17 @@ struct lm_var_layout {
   std::vector<sat::var> map_base;  ///< cell -> first of its |TL| mapping vars
   std::vector<sat::var> val_base;  ///< cell -> first of its value vars
   sat::var val_stride = 1;  ///< distance between consecutive entries of a cell
+  /// Entry index -> representative minterm (support_entries).
+  std::vector<std::uint64_t> entries;
 
   [[nodiscard]] sat::lit map_lit(int cell, std::size_t tl_index) const {
     return sat::lit::make(map_base[static_cast<std::size_t>(cell)] +
                           static_cast<sat::var>(tl_index));
   }
-  [[nodiscard]] sat::lit val_lit(int cell, std::uint64_t entry) const {
+  /// Value variable of `cell` at the i-th distinct entry.
+  [[nodiscard]] sat::lit val_lit(int cell, std::size_t i) const {
     return sat::lit::make(val_base[static_cast<std::size_t>(cell)] +
-                          static_cast<sat::var>(entry) * val_stride);
+                          static_cast<sat::var>(i) * val_stride);
   }
   [[nodiscard]] int num_cells() const {
     return static_cast<int>(map_base.size());
@@ -125,13 +140,13 @@ class lm_emitter {
   // --- shared core (never guarded) ---------------------------------------
   /// Exactly-one wiring for one cell.
   void emit_exactly_one(int cell);
-  /// Link clauses for one (cell, entry): the chosen wiring forces the value.
-  void emit_links(int cell, std::uint64_t entry);
+  /// Link clauses for one (cell, entry index): the wiring forces the value.
+  void emit_links(int cell, std::size_t i);
 
   // --- dims-dependent families (guarded when an activation is set) --------
   /// OFF entry: every irredundant path broken; ON entry: selector clauses
   /// plus the helper facts.
-  void emit_entry(std::uint64_t entry, bool target_value);
+  void emit_entry(std::size_t i);
   /// Degree rules or strict [6]-approx rules, per the active options.
   void emit_rules();
 
@@ -207,14 +222,12 @@ class lm_encoder {
     const std::vector<lattice::cell_assign>& tl, const lattice::dims& d,
     int num_vars, bool dual_side);
 
-/// Convenience: truth-table entries where the side function is 1.
-[[nodiscard]] std::vector<std::uint64_t> onset_entries(const bf::truth_table& f);
-
 /// Cheap a-priori estimate of the clause count of one problem side, computed
 /// from entry/path counts without building anything. solve_lm uses it to skip
 /// candidates whose encoding would not fit the configured budget (the same
 /// give-up behavior the paper's per-call time limit induces, but before
-/// burning minutes and gigabytes on CNF construction).
+/// burning minutes and gigabytes on CNF construction). It counts all 2^n
+/// entries, so neither the side choice nor the skips see the entry table.
 [[nodiscard]] std::uint64_t estimate_encoding_clauses(
     const target_spec& target, const lattice_info& info, bool dual_side,
     const lm_encode_options& options);

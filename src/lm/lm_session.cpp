@@ -15,9 +15,8 @@ lm_session::lm_session(const target_spec& target, bool dual_side,
       options_(options),
       solver_(solver_options) {
   tl_ = build_target_literals(target_, dual_side_, options_);
-  const bf::truth_table& side_function =
-      dual_side_ ? target_.dual_function() : target_.function();
-  entries_ = side_function.num_minterms();
+  layout_.entries = support_entries(
+      dual_side_ ? target_.dual_function() : target_.function(), tl_);
   layout_.val_stride = 1;  // per-slot value blocks, entry-consecutive
 }
 
@@ -49,22 +48,21 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
     const int old_slots = layout_.num_cells();
     for (int slot = old_slots; slot < cells; ++slot) {
       layout_.map_base.push_back(delta.new_vars(static_cast<int>(tl_.size())));
-      layout_.val_base.push_back(delta.new_vars(static_cast<int>(entries_)));
+      layout_.val_base.push_back(
+          delta.new_vars(static_cast<int>(layout_.entries.size())));
       emitter.emit_exactly_one(slot);
-      for (std::uint64_t e = 0; e < entries_; ++e) {
-        emitter.emit_links(slot, e);
+      for (std::size_t i = 0; i < layout_.entries.size(); ++i) {
+        emitter.emit_links(slot, i);
       }
     }
 
     // The dims group: path constraints and rule clauses, each family behind
     // its own activation literal so UNSAT cores can tell them apart.
-    const bf::truth_table& side_function =
-        dual_side_ ? target_.dual_function() : target_.function();
     group.structure = sat::lit::make(delta.new_var());
     group.rules = sat::lit::make(delta.new_var());
     emitter.set_activation(group.structure);
-    for (std::uint64_t e = 0; e < entries_; ++e) {
-      emitter.emit_entry(e, side_function.get(e));
+    for (std::size_t i = 0; i < layout_.entries.size(); ++i) {
+      emitter.emit_entry(i);
     }
     emitter.set_activation(group.rules);
     emitter.emit_rules();

@@ -8,8 +8,8 @@
 // layers the probes on a shared core:
 //
 //   * Shared core (emitted once, grown on demand): a pool of CELL SLOTS.
-//     Slot s owns |TL| mapping variables and one value variable per truth
-//     table entry, plus the exactly-one and mapping→value link clauses.
+//     Slot s owns |TL| mapping variables and one value variable per
+//     distinct truth table entry (support_entries), plus the exactly-one and mapping→value link clauses.
 //     These constraints are independent of lattice geometry — probing dims
 //     (r, c) simply uses the first r·c slots — so every clause the solver
 //     learns over them transfers to every later probe.
@@ -120,7 +120,6 @@ class lm_session {
   const bool dual_side_;
   const lm_encode_options options_;
   std::vector<lattice::cell_assign> tl_;
-  std::uint64_t entries_ = 0;
   sat::solver solver_;
   lm_var_layout layout_;  ///< grows as larger lattices are probed
   std::map<std::pair<int, int>, dims_group> groups_;

@@ -19,19 +19,20 @@ lm_result solve_lm_reachability(const target_spec& target, const dims& d,
   encode.tl_isop_literals_only = false;
   const std::vector<lattice::cell_assign> tl =
       build_target_literals(target, /*dual_side=*/false, encode);
-  const std::uint64_t entries = target.function().num_minterms();
 
   // Mapping/value core: the path encoding's exactly-one and link clauses.
   sat::cnf f;
   lm_var_layout layout;
+  layout.entries = support_entries(target.function(), tl);
+  const std::size_t entries = layout.entries.size();
   lm_emitter emitter(target, /*info=*/nullptr, /*dual_side=*/false, encode,
                      tl, layout, f);
   for (int cell = 0; cell < d.size(); ++cell) {
     layout.map_base.push_back(f.new_vars(static_cast<int>(tl.size())));
     layout.val_base.push_back(f.new_vars(static_cast<int>(entries)));
     emitter.emit_exactly_one(cell);
-    for (std::uint64_t e = 0; e < entries; ++e) {
-      emitter.emit_links(cell, e);
+    for (std::size_t i = 0; i < entries; ++i) {
+      emitter.emit_links(cell, i);
     }
   }
   const auto add = [&emitter](std::initializer_list<sat::lit> clause) {
@@ -39,8 +40,8 @@ lm_result solve_lm_reachability(const target_spec& target, const dims& d,
   };
 
   const int levels = d.size();  // BFS converges within #cells rounds
-  for (std::uint64_t e = 0; e < entries; ++e) {
-    const auto val = [&](int cell) { return layout.val_lit(cell, e); };
+  for (std::size_t i = 0; i < entries; ++i) {
+    const auto val = [&](int cell) { return layout.val_lit(cell, i); };
 
     // Level 0: reachable = ON and on the top row.
     std::vector<sat::lit> reach(static_cast<std::size_t>(d.size()));
@@ -105,7 +106,7 @@ lm_result solve_lm_reachability(const target_spec& target, const dims& d,
         bottom.push_back(reach[static_cast<std::size_t>(cell)]);
       }
     }
-    if (target.function().get(e)) {
+    if (target.function().get(layout.entries[i])) {
       // An empty `bottom` (no top-to-bottom connection at all) becomes the
       // empty clause, and add_cnf below reports the contradiction.
       emitter.add(bottom);

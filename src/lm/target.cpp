@@ -9,13 +9,14 @@
 namespace janus::lm {
 
 target_spec target_spec::from_function(const bf::truth_table& f,
-                                       std::string name) {
+                                       std::string name,
+                                       std::optional<bf::cover> dual_sop) {
   target_spec t;
   t.name_ = std::move(name);
   t.function_ = f;
   t.dual_ = f.dual();
   t.sop_ = bf::minimize(f);
-  t.dual_sop_ = bf::minimize(t.dual_);
+  t.dual_sop_ = dual_sop ? std::move(*dual_sop) : bf::minimize(t.dual_);
   JANUS_CHECK_MSG(t.sop_.to_truth_table() == f,
                   "minimized SOP does not match the target function");
   JANUS_CHECK_MSG(t.dual_sop_.to_truth_table() == t.dual_,

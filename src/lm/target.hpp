@@ -7,6 +7,7 @@
 // and final verification.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "bf/cover.hpp"
@@ -19,9 +20,11 @@ class target_spec {
  public:
   target_spec() = default;
 
-  /// Build from a completely specified function; minimizes f and f^D.
+  /// Build from a completely specified function; minimizes f and f^D
+  /// (the latter only when the caller has no `dual_sop` of it already).
   static target_spec from_function(const bf::truth_table& f,
-                                   std::string name = "");
+                                   std::string name = "",
+                                   std::optional<bf::cover> dual_sop = {});
 
   /// Build from an SOP cover (the function is the cover's truth table).
   static target_spec from_cover(const bf::cover& c, std::string name = "");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <utility>
 
@@ -13,15 +14,28 @@
 
 namespace janus::service {
 
-void latency_histogram::record(double ms) {
-  std::size_t bucket = upper_ms.size();  // overflow bucket
-  for (std::size_t i = 0; i < upper_ms.size(); ++i) {
-    if (ms <= upper_ms[i]) {
-      bucket = i;
-      break;
-    }
+std::size_t latency_histogram::bucket_of(double ms) {
+  int exp = 0;
+  const double frac = std::frexp(ms, &exp);  // ms = frac * 2^exp, frac >= 0.5
+  const int octave = exp - 1 - kMinExp;
+  if (!(ms > 0.0) || octave < 0) {
+    return 0;
   }
-  ++counts[bucket];
+  if (octave >= kMaxExp - kMinExp) {
+    return kBounded;
+  }
+  const int sub = static_cast<int>((2.0 * frac - 1.0) * kSubBuckets);
+  return static_cast<std::size_t>(octave * kSubBuckets + sub);
+}
+
+double latency_histogram::upper_ms(std::size_t bucket) {
+  const int octave = static_cast<int>(bucket) / kSubBuckets;
+  const int sub = static_cast<int>(bucket) % kSubBuckets;
+  return std::ldexp(1.0 + (sub + 1.0) / kSubBuckets, kMinExp + octave);
+}
+
+void latency_histogram::record(double ms) {
+  ++counts[bucket_of(ms)];
   ++total;
   max_ms = std::max(max_ms, ms);
 }
@@ -32,10 +46,10 @@ double latency_histogram::quantile_ms(double q) const {
   }
   const double rank = q * static_cast<double>(total);
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
+  for (std::size_t i = 0; i < kBounded; ++i) {
     seen += counts[i];
     if (static_cast<double>(seen) >= rank) {
-      return i < upper_ms.size() ? upper_ms[i] : max_ms;
+      return std::min(upper_ms(i), max_ms);
     }
   }
   return max_ms;

@@ -56,22 +56,31 @@
 
 namespace janus::service {
 
-/// Fixed log-scale latency buckets (milliseconds); the last bucket is
-/// unbounded. Powers the /stats percentiles without storing samples.
+/// Log-linear latency buckets (milliseconds): every power-of-two range from
+/// 2^kMinExp to 2^kMaxExp ms (about 1 us to 17 min) splits into kSubBuckets
+/// equal-width buckets, so a bucket's upper bound exceeds any value in it by
+/// less than 1/kSubBuckets (3.1%). Faster latencies land in the first
+/// bucket; slower ones in an unbounded last bucket. Powers the /stats
+/// percentiles without storing samples.
 struct latency_histogram {
-  static constexpr std::array<double, 13> upper_ms = {
-      0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0,
-      100.0, 500.0, 1000.0, 5000.0, 10000.0};
+  static constexpr int kSubBuckets = 32;
+  static constexpr int kMinExp = -10;
+  static constexpr int kMaxExp = 20;
+  static constexpr std::size_t kBounded =
+      static_cast<std::size_t>(kMaxExp - kMinExp) * kSubBuckets;
 
-  std::array<std::uint64_t, upper_ms.size() + 1> counts{};
+  std::array<std::uint64_t, kBounded + 1> counts{};
   std::uint64_t total = 0;
   double max_ms = 0.0;
 
   void record(double ms);
 
-  /// Upper bound of the bucket holding quantile `q` in [0, 1] (max_ms for
-  /// the overflow bucket); 0 when empty. Bucket-resolution by design.
+  /// Upper bound of the bucket holding quantile `q` in [0, 1], clamped to
+  /// max_ms (which the unbounded bucket reports); 0 when empty.
   [[nodiscard]] double quantile_ms(double q) const;
+
+  [[nodiscard]] static std::size_t bucket_of(double ms);
+  [[nodiscard]] static double upper_ms(std::size_t bucket);
 };
 
 /// One snapshot of every counter the daemon exports (the /stats schema in

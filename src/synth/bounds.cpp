@@ -1,6 +1,7 @@
 #include "synth/bounds.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "bf/exact_min.hpp"
 #include "lm/structural.hpp"
@@ -215,11 +216,12 @@ std::optional<bound_solution> build_ips(const target_spec& t,
         pair_cover.add(big[i]);
         pair_cover.add(big[j]);
         const truth_table pair_fn = pair_cover.to_truth_table();
-        const cover pair_dual = bf::minimize(pair_fn.dual());
+        cover pair_dual = bf::minimize(pair_fn.dual());
         if (static_cast<int>(pair_dual.num_cubes()) > rows) {
           continue;
         }
-        const target_spec pair_target = target_spec::from_function(pair_fn);
+        const target_spec pair_target =
+            target_spec::from_function(pair_fn, "", std::move(pair_dual));
         lm::lm_options probe = pair_options;
         probe.sat_time_limit_s = std::min(probe.sat_time_limit_s, 10.0);
         const lm::lm_result r =

@@ -1,11 +1,18 @@
 // Tests for the LM pipeline: structural check, the paper's path encoding, the
-// reachability encoding, dual-problem equivalence, and the designed
-// approximation behavior of the degree rules.
+// reachability encoding, dual-problem equivalence, the support projection of
+// the value variables, and the designed approximation behavior of the degree
+// rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "instances/table2.hpp"
+#include "lm/lm_session.hpp"
 #include "lm/lm_solver.hpp"
 #include "lm/reach_encoding.hpp"
 #include "lm/structural.hpp"
+#include "util/check.hpp"
 
 namespace janus::lm {
 namespace {
@@ -233,11 +240,143 @@ TEST(ReachEncoding, AgreesOnDegenerateLattices) {
             lm_status::realizable);
 }
 
-TEST(OnsetEntries, ListsMintermsWhereTheFunctionIsOne) {
-  const bf::truth_table f = bf::cover::parse(2, "ab").to_truth_table();
-  const auto entries = onset_entries(f);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0], 3u);
+/// g over inputs 0..2 placed on inputs pos[0..2] of a 5-input function; the
+/// other two inputs are unused.
+bf::truth_table embed5(const bf::truth_table& g, const std::array<int, 3>& pos) {
+  bf::truth_table f(5);
+  for (std::uint64_t m = 0; m < f.num_minterms(); ++m) {
+    std::uint64_t gm = 0;
+    for (int k = 0; k < 3; ++k) {
+      gm |= ((m >> pos[static_cast<std::size_t>(k)]) & 1) << k;
+    }
+    f.set(m, g.get(gm));
+  }
+  return f;
+}
+
+/// Brute-force reference sharing no code with the encoders: does some wiring
+/// of d's cells from {0, 1} and the literals of t's ISOP (the paper's TL)
+/// pass the BFS oracle?
+bool some_wiring_realizes(const target_spec& t, const dims& d) {
+  using lattice::cell_assign;
+  std::vector<cell_assign> tl = {cell_assign::zero(), cell_assign::one()};
+  for (const bf::cube& c : t.sop().cubes()) {
+    for (const bf::literal l : c.literals()) {
+      const cell_assign a = cell_assign::lit(l.variable, l.negated);
+      if (std::find(tl.begin(), tl.end(), a) == tl.end()) {
+        tl.push_back(a);
+      }
+    }
+  }
+  const auto cells = static_cast<std::size_t>(d.size());
+  std::vector<std::size_t> pick(cells, 0);
+  lattice::lattice_mapping m(d, t.num_vars());
+  while (true) {
+    for (std::size_t c = 0; c < cells; ++c) {
+      m.cells()[c] = tl[pick[c]];
+    }
+    if (m.realizes(t.function())) {
+      return true;
+    }
+    std::size_t c = 0;
+    while (c < cells && ++pick[c] == tl.size()) {
+      pick[c++] = 0;
+    }
+    if (c == cells) {
+      return false;
+    }
+  }
+}
+
+TEST(SupportProjection, PaddedTargetsAgreeWithBruteForce) {
+  lm_options opt;
+  opt.encode.use_degree_rules = false;  // a heuristic: may disagree by design
+  const std::array<std::array<int, 3>, 3> placements = {
+      {{0, 1, 2}, {2, 3, 4}, {4, 0, 2}}};
+  lattice_info_cache cache;
+  int realizable = 0;
+  int unrealizable = 0;
+  for (const char* text : {"ab + c", "ab + a'c", "ab + bc + ac", "a'b'c"}) {
+    const bf::truth_table g = bf::cover::parse(3, text).to_truth_table();
+    for (const auto& pos : placements) {
+      const target_spec t = target_spec::from_function(embed5(g, pos));
+      ASSERT_EQ(t.function().support().size(), 3u);
+      lm_session_pool pool(t, opt.encode, default_lm_solver_options());
+      lm_options pooled = opt;
+      pooled.sessions = &pool;
+      for (int rows = 1; rows <= 6; ++rows) {
+        for (int cols = 1; rows * cols <= 6; ++cols) {
+          const dims d{rows, cols};
+          const bool expected = some_wiring_realizes(t, d);
+          (expected ? realizable : unrealizable) += 1;
+          for (const lm_options* o : {&opt, &pooled}) {
+            const lm_result r = solve_lm(t, cache.get(d), *o);
+            EXPECT_EQ(r.status, expected ? lm_status::realizable
+                                         : lm_status::unrealizable)
+                << text << " at " << pos[0] << pos[1] << pos[2] << " on "
+                << d.str() << (o == &pooled ? " (session)" : " (one-shot)");
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(realizable, 0);
+  EXPECT_GT(unrealizable, 0);
+}
+
+TEST(SupportProjection, PaddedEncodingHasOneValueVariablePerSupportEntry) {
+  // Without helper facts and rules, the variables are exactly the mapping
+  // variables, the value variables and one selector per (ON entry, path).
+  lm_encode_options eo;
+  eo.use_degree_rules = false;
+  eo.use_helper_facts = false;
+  const bf::truth_table g = bf::cover::parse(3, "ab + a'c").to_truth_table();
+  const target_spec t = target_spec::from_function(embed5(g, {3, 0, 4}));
+  lattice_info_cache cache;
+  const lattice_info& info = cache.get({3, 2});
+  const lm_encoder enc(t, info, /*dual_side=*/false, eo);
+  const std::uint64_t cells = 6;
+  const std::uint64_t tl = build_target_literals(t, false, eo).size();
+  const std::uint64_t value_vars = cells * 8;  // 2^|support|, not 2^5
+  EXPECT_EQ(enc.stats().num_vars,
+            cells * tl + value_vars + g.count_ones() * info.paths_4tb.size());
+}
+
+TEST(SupportProjection, FullSupportEncodingIsUnchanged) {
+  // b12_00 (full support) at 3x5, primal side, scratch: the size measured
+  // before the projection existed, so full-support CNFs stay identical.
+  const target_spec t = instances::make_table2_instance("b12_00");
+  ASSERT_EQ(t.function().support().size(),
+            static_cast<std::size_t>(t.num_vars()));
+  lattice_info_cache cache;
+  const lm_encoder enc(t, cache.get({3, 5}), /*dual_side=*/false, {});
+  EXPECT_EQ(enc.stats().num_vars, 1755u);
+  EXPECT_EQ(enc.stats().num_clauses, 15088u);
+}
+
+TEST(SupportEntries, ListsOneRepresentativePerTlPattern) {
+  using lattice::cell_assign;
+  // f = b + d' over 4 inputs: TL mentions b and d only.
+  const bf::truth_table f = bf::cover::parse(4, "b + d'").to_truth_table();
+  const std::vector<cell_assign> tl = {cell_assign::zero(), cell_assign::one(),
+                                       cell_assign::lit(1, false),
+                                       cell_assign::lit(3, true)};
+  EXPECT_EQ(support_entries(f, tl),
+            (std::vector<std::uint64_t>{0b0000, 0b0010, 0b1000, 0b1010}));
+  // An all-literal TL gives the identity table.
+  std::vector<cell_assign> all = tl;
+  for (const int v : {0, 2}) {
+    all.push_back(cell_assign::lit(v, false));
+  }
+  const std::vector<std::uint64_t> identity = support_entries(f, all);
+  ASSERT_EQ(identity.size(), 16u);
+  for (std::uint64_t m = 0; m < 16; ++m) {
+    EXPECT_EQ(identity[m], m);
+  }
+  // A TL that misses a variable f depends on would merge entries f tells
+  // apart.
+  EXPECT_THROW((void)support_entries(f, {tl.begin(), tl.end() - 1}),
+               check_error);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <functional>
@@ -157,22 +158,40 @@ TEST(LatencyHistogram, EmptyReportsZero) {
 
 TEST(LatencyHistogram, QuantilesResolveToBucketUpperBounds) {
   latency_histogram h;
-  for (int i = 0; i < 9; ++i) {
-    h.record(0.1);  // bucket <= 0.25ms
+  for (int i = 0; i < 5; ++i) {
+    h.record(0.1);  // bucket [0.0625 * 51/32, 0.0625 * 52/32) ms
   }
-  h.record(8000.0);  // bucket <= 10000ms
+  for (int i = 0; i < 4; ++i) {
+    h.record(0.2);  // bucket [0.125 * 51/32, 0.125 * 52/32) ms
+  }
+  h.record(8000.0);  // bucket [4096 * 62/32, 4096 * 63/32) ms, above max
   EXPECT_EQ(h.total, 10u);
-  EXPECT_EQ(h.quantile_ms(0.5), 0.25);
-  EXPECT_EQ(h.quantile_ms(0.9), 0.25);
-  EXPECT_EQ(h.quantile_ms(0.99), 10000.0);
+  EXPECT_EQ(h.quantile_ms(0.5), 0.1015625);
+  EXPECT_EQ(h.quantile_ms(0.9), 0.203125);
+  EXPECT_EQ(h.quantile_ms(0.99), 8000.0);  // clamped to max_ms
   EXPECT_EQ(h.max_ms, 8000.0);
 }
 
 TEST(LatencyHistogram, OverflowBucketReportsObservedMax) {
   latency_histogram h;
-  h.record(25000.0);
-  EXPECT_EQ(h.quantile_ms(0.5), 25000.0);
-  EXPECT_EQ(h.quantile_ms(1.0), 25000.0);
+  h.record(5e6);  // beyond 2^kMaxExp ms
+  EXPECT_EQ(latency_histogram::bucket_of(5e6), latency_histogram::kBounded);
+  EXPECT_EQ(h.quantile_ms(0.5), 5e6);
+  EXPECT_EQ(h.quantile_ms(1.0), 5e6);
+}
+
+TEST(LatencyHistogram, RelativeErrorBelowFivePercentAcrossDecades) {
+  // 0.002 ms .. 500 s, 40 values per decade; each is the median of a
+  // histogram whose max lies far above it, so no clamping hides the error.
+  for (double v = 0.002; v < 5e5; v *= std::pow(10.0, 1.0 / 40)) {
+    latency_histogram h;
+    h.record(v);
+    h.record(v);
+    h.record(100.0 * v);
+    const double p50 = h.quantile_ms(0.5);
+    EXPECT_GE(p50, v) << v;
+    EXPECT_LE(p50, 1.05 * v) << v;
+  }
 }
 
 // ---- fair queue -------------------------------------------------------------
