@@ -12,9 +12,9 @@
 // A probe's solve_lm is one single-threaded SAT solve under the probe's
 // cancellation token.
 //
-// `pool == nullptr` means "run sequentially on the calling thread"; that is
-// the jobs=1 fallback everywhere and keeps single-threaded behavior
-// bit-identical to the pre-engine code paths.
+// `pool == nullptr` means jobs=1: every layer runs the same fan-out inline
+// on the calling thread, in rank order (a null-pool task_group), not a
+// separate sequential path.
 #pragma once
 
 #include "exec/cancellation.hpp"
@@ -23,7 +23,7 @@
 namespace janus::exec {
 
 struct context {
-  thread_pool* pool = nullptr;  ///< non-owning; nullptr = sequential
+  thread_pool* pool = nullptr;  ///< non-owning; nullptr = inline
   cancel_token cancel;          ///< external cancellation (empty = never)
 
   /// The same context with a different cancellation token (used when a layer

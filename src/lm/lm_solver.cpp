@@ -96,13 +96,10 @@ lm_result solve_lm(const target_spec& target, const lattice_info& info,
       estimate_encoding_clauses(target, info, /*dual_side=*/false,
                                 options.encode);
   const std::uint64_t dual_estimate =
-      options.allow_dual_problem
-          ? estimate_encoding_clauses(target, info, /*dual_side=*/true,
-                                      options.encode)
-          : ~std::uint64_t{0};
+      estimate_encoding_clauses(target, info, /*dual_side=*/true,
+                                options.encode);
   const bool primal_feasible = primal_estimate <= options.max_encoding_clauses;
-  const bool dual_feasible = options.allow_dual_problem &&
-                             dual_estimate <= options.max_encoding_clauses;
+  const bool dual_feasible = dual_estimate <= options.max_encoding_clauses;
   if (!primal_feasible && !dual_feasible) {
     result.status = lm_status::skipped;
     return result;

@@ -44,7 +44,6 @@ struct lm_options {
   sat::solver_options solver = default_lm_solver_options();
   double sat_time_limit_s = 1200.0;  // the paper's empirically chosen limit
   std::int64_t conflict_budget = -1;
-  bool allow_dual_problem = true;
   /// Candidates whose cheaper side would still exceed this many clauses are
   /// skipped outright (estimated before construction; bounds memory and
   /// encode time on wide-input targets).

@@ -87,7 +87,7 @@ struct parse_outcome {
 /// Per-output slice of a synth response.
 struct output_report {
   std::string name;
-  std::string dims;  ///< "RxC"
+  std::string dims = "-";  ///< "RxC"; "-" without a lattice
   int switches = 0;
   int lower_bound = 0;
   int new_upper_bound = 0;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "backend/backend.hpp"
-#include "synth/portfolio.hpp"
 #include "util/check.hpp"
 #include "util/json_writer.hpp"
 #include "util/log.hpp"
@@ -270,6 +269,47 @@ void synthesis_service::worker_loop() {
   }
 }
 
+namespace {
+
+/// Fill `report` from one target's outcome and count the outcome in
+/// `stats`: a backend-routed one also counts each raced backend's run and
+/// the winner's win.
+void account(const synth::target_result& outcome, output_report& report,
+             service_stats& stats) {
+  stats.add(outcome, /*store_configured=*/true);
+  if (const auto* p = std::get_if<synth::portfolio_result>(&outcome)) {
+    for (const backend::backend_result& entry : p->entries) {
+      ++stats.backend_requests[entry.backend];
+    }
+    // No winner: no engine converged within the deadline (every backend the
+    // limits admit can represent a <= max_vars target, so non-convergence
+    // here is a budget outcome, not an unsupported target).
+    const backend::backend_result* win = p->winning();
+    report.timed_out = win == nullptr;
+    if (win != nullptr) {
+      ++stats.backend_wins[win->backend];
+      report.backend = win->backend;
+      report.cost = win->cost();
+      report.cost_unit = win->realized->cost_unit();
+      report.lower_bound = win->lower_bound;
+      report.new_upper_bound = win->cost();
+      if (report.cost_unit == "switches") {
+        report.switches = win->cost();
+      }
+    }
+    return;
+  }
+  const synth::janus_result& r = std::get<synth::janus_result>(outcome);
+  report.dims = r.solution_dims();
+  report.switches = r.solution_size();
+  report.lower_bound = r.lower_bound;
+  report.new_upper_bound = r.new_upper_bound;
+  report.from_cache = r.from_cache;
+  report.timed_out = r.hit_time_limit;
+}
+
+}  // namespace
+
 void synthesis_service::run_job(queued_job job) {
   // Jobs still queued when the drain grace period expires are not started.
   if (drain_cancel_.cancel_requested()) {
@@ -283,141 +323,66 @@ void synthesis_service::run_job(queued_job job) {
   }
 
   exec::cancel_source job_cancel(drain_cancel_.token());
+  // Each output runs as one synthesize_batch shard at jobs=1 over the shared
+  // caches, so sizes are bit-identical to a direct batch run over the same
+  // store.
+  const exec::context ctx{nullptr, job_cancel.token()};
+  synth::janus_options base = options_.base;
+  base.solutions = &store_;
+  base.lattice_info = &lattice_info_;
+  std::vector<std::string> backends;
+  if (job.req.backend == "portfolio") {
+    backends = backend::backend_names();
+  } else if (!job.req.backend.empty()) {
+    backends = {job.req.backend};
+  }
+
   std::vector<output_report> outputs;
   outputs.reserve(job.req.targets.size());
-  sat::solver_stats solver_delta;
-  std::uint64_t probes = 0;
-  std::uint64_t pruned = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::map<std::string, std::uint64_t> backend_runs;
-  std::map<std::string, std::uint64_t> backend_wins;
   bool any_timed_out = false;
+  std::optional<std::string> internal_error;
 
   for (const lm::target_spec& target : job.req.targets) {
     output_report report;
     report.name = target.name();
-    report.dims = "-";
-    if (job.dl.expired() || job_cancel.cancel_requested()) {
-      // Deadline (or drain cancellation) hit before this output started.
-      report.timed_out = true;
-      any_timed_out = true;
-      outputs.push_back(std::move(report));
-      continue;
+    report.timed_out = true;  // until an outcome says otherwise
+    // A deadline (or drain cancellation) that fired before this output
+    // started leaves it timed out.
+    if (!job.dl.expired() && !job_cancel.cancel_requested()) {
+      try {
+        const synth::target_result outcome =
+            synth::synthesize_target(target, base, backends, job.dl, ctx);
+        util::lock_guard lock(state_mutex_);
+        account(outcome, report, counters_);
+      } catch (const synth::no_upper_bound_error&) {
+        // The budget ran out before any construction verified; an expected
+        // outcome under a tight deadline, not an internal failure.
+      } catch (const std::exception& e) {
+        // Invariant failure in the engine: surface it as a typed internal
+        // error, keep the worker (and the daemon) alive.
+        internal_error = e.what();
+        break;
+      }
     }
-    // Mirror synthesize_batch's per-target shard exactly — jobs=1, no shared
-    // pool, time limit clipped by the remaining deadline — so sizes are
-    // bit-identical to a direct batch run over the same store.
-    synth::janus_options per = options_.base;
-    per.time_limit_s =
-        std::min(options_.base.time_limit_s, job.dl.remaining_seconds());
-    per.jobs = 1;
-    per.exec.pool = nullptr;
-    per.exec.cancel = job_cancel.token();
-    per.solutions = &store_;
-    per.lattice_info = &lattice_info_;
-    if (!job.req.backend.empty()) {
-      // Backend-routed request: race (or solo-run) the selected engines.
-      // The lattice backends still see the shared caches through `per`.
-      synth::portfolio_options popts;
-      popts.backends = job.req.backend == "portfolio"
-                           ? backend::backend_names()
-                           : std::vector<std::string>{job.req.backend};
-      popts.base = per;
-      exec::context ctx;
-      ctx.cancel = job_cancel.token();
-      const synth::portfolio_result p =
-          synth::run_portfolio(target, popts, job.dl, ctx);
-      for (const backend::backend_result& entry : p.entries) {
-        solver_delta += entry.sat;
-        ++backend_runs[entry.backend];
-      }
-      const backend::backend_result* win = p.winning();
-      if (win != nullptr) {
-        ++backend_wins[win->backend];
-        report.backend = win->backend;
-        report.cost = win->cost();
-        report.cost_unit = win->realized->cost_unit();
-        report.lower_bound = win->lower_bound;
-        report.new_upper_bound = win->cost();
-        if (report.cost_unit == "switches") {
-          report.switches = win->cost();
-        }
-      } else {
-        // No engine converged within the deadline (every backend the limits
-        // admit can represent a <= max_vars target, so non-convergence here
-        // is a budget outcome, not an unsupported target).
-        report.timed_out = true;
-        any_timed_out = true;
-      }
-      outputs.push_back(std::move(report));
-      continue;
-    }
-    try {
-      synth::janus_synthesizer engine(per);
-      synth::janus_result r = engine.run(target);
-      solver_delta += r.sat_totals;
-      probes += r.probes.size();
-      pruned += r.pruned_probes;
-      if (r.ub_method != "const") {
-        ++(r.from_cache ? hits : misses);
-      }
-      report.dims = r.solution_dims();
-      report.switches = r.solution_size();
-      report.lower_bound = r.lower_bound;
-      report.new_upper_bound = r.new_upper_bound;
-      report.from_cache = r.from_cache;
-      report.timed_out = r.hit_time_limit;
-      any_timed_out = any_timed_out || r.hit_time_limit;
-    } catch (const synth::no_upper_bound_error&) {
-      // The budget ran out before any construction verified; an expected
-      // outcome under a tight deadline, not an internal failure.
-      report.timed_out = true;
-      any_timed_out = true;
-    } catch (const std::exception& e) {
-      // Invariant failure in the engine: surface it as a typed internal
-      // error, keep the worker (and the daemon) alive.
-      const double ms = job.clock.seconds() * 1000.0;
-      util::lock_guard lock(state_mutex_);
-      ++counters_.failed_internal;
-      counters_.solver_totals += solver_delta;
-      counters_.total_probes += probes;
-      counters_.pruned_probes += pruned;
-      counters_.cache_hits += hits;
-      counters_.cache_misses += misses;
-      for (const auto& [name, n] : backend_runs) {
-        counters_.backend_requests[name] += n;
-      }
-      for (const auto& [name, n] : backend_wins) {
-        counters_.backend_wins[name] += n;
-      }
-      counters_.latency.record(ms);
-      job.respond(
-          error_response(job.req.id, error_code::internal, e.what()));
-      return;
-    }
+    any_timed_out = any_timed_out || report.timed_out;
     outputs.push_back(std::move(report));
   }
 
   const double ms = job.clock.seconds() * 1000.0;
   {
     util::lock_guard lock(state_mutex_);
-    ++(any_timed_out ? counters_.completed_timeout : counters_.completed_ok);
-    counters_.solver_totals += solver_delta;
-    counters_.total_probes += probes;
-    counters_.pruned_probes += pruned;
-    counters_.cache_hits += hits;
-    counters_.cache_misses += misses;
-    for (const auto& [name, n] : backend_runs) {
-      counters_.backend_requests[name] += n;
-    }
-    for (const auto& [name, n] : backend_wins) {
-      counters_.backend_wins[name] += n;
-    }
+    ++(internal_error     ? counters_.failed_internal
+       : any_timed_out    ? counters_.completed_timeout
+                          : counters_.completed_ok);
     counters_.latency.record(ms);
   }
-  job.respond(any_timed_out ? timeout_response(job.req.id, outputs, ms)
-                            : ok_response(job.req.id, outputs, ms));
+  if (internal_error) {
+    job.respond(
+        error_response(job.req.id, error_code::internal, *internal_error));
+  } else {
+    job.respond(any_timed_out ? timeout_response(job.req.id, outputs, ms)
+                              : ok_response(job.req.id, outputs, ms));
+  }
 }
 
 std::string synthesis_service::stats_response(const std::string& id) const {

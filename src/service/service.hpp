@@ -15,8 +15,9 @@
 //        ▼
 //   fair_queue ── round-robin across clients ──► worker threads
 //                                                    │
-//   one shared solution_cache + lattice_info_cache ◄─┤ janus_synthesizer
-//   per-request deadline + drain cancellation tree ◄─┘ (jobs=1 per target —
+//   one shared solution_cache + lattice_info_cache ◄─┤ synthesize_target
+//   per-request deadline + drain cancellation tree ◄─┘ (the batch shard, one
+//                                                      target at a time —
 //                                                      bit-identical to
 //                                                      synthesize_batch)
 //
@@ -50,7 +51,7 @@
 #include "exec/cancellation.hpp"
 #include "lm/lattice_info.hpp"
 #include "service/protocol.hpp"
-#include "synth/janus.hpp"
+#include "synth/batch.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
@@ -84,8 +85,10 @@ struct latency_histogram {
 };
 
 /// One snapshot of every counter the daemon exports (the /stats schema in
-/// docs/service.md mirrors this struct field for field).
-struct service_stats {
+/// docs/service.md mirrors this struct field for field). The synthesis
+/// counters (cache_hits, cache_misses, total_probes, pruned_probes,
+/// solver_totals) are the batch's own, counted by the same function.
+struct service_stats : synth::synthesis_counters {
   // Request accounting.
   std::uint64_t received = 0;
   std::uint64_t admitted = 0;
@@ -99,13 +102,6 @@ struct service_stats {
   std::size_t queue_depth = 0;
   std::size_t in_flight = 0;
   bool draining = false;
-  // Synthesis aggregates (batch_result-style; cache_* count targets that
-  // consulted the shared store, exactly like synth::batch_result).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t total_probes = 0;
-  std::uint64_t pruned_probes = 0;
-  sat::solver_stats solver_totals;
   // Backend-routed requests (requests carrying a "backend" field): how many
   // times each registered backend ran a target / won its target's race. A
   // "portfolio" request counts one run per raced backend, one win for the
@@ -119,9 +115,10 @@ struct service_stats {
 };
 
 struct service_options {
-  /// Worker threads draining the queue. Each runs one request at a time with
-  /// jobs=1 per target (the synthesize_batch sharding shape), so responses
-  /// are bit-identical to a direct batch run regardless of worker count.
+  /// Worker threads draining the queue. Each runs one request at a time,
+  /// every target through synthesize_target at jobs=1 (what a batch shard
+  /// runs), so responses are bit-identical to a direct batch run regardless
+  /// of worker count.
   int workers = 1;
   /// Admission bound: synth requests waiting in the fair queue (in-flight
   /// work not counted). Full queue => typed `overloaded` rejection.
@@ -231,8 +228,6 @@ class synthesis_service {
  private:
   void worker_loop() JANUS_EXCLUDES(state_mutex_);
   void run_job(queued_job job) JANUS_EXCLUDES(state_mutex_);
-  void finish_job(queued_job& job, const std::vector<output_report>& outputs,
-                  bool timed_out);
   [[nodiscard]] std::string stats_response(const std::string& id) const
       JANUS_EXCLUDES(state_mutex_);
 

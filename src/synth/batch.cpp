@@ -8,19 +8,54 @@
 
 namespace janus::synth {
 
+target_result synthesize_target(const lm::target_spec& target,
+                                const janus_options& base,
+                                const std::vector<std::string>& backends,
+                                deadline dl, const exec::context& ctx) {
+  janus_options per = base;
+  per.time_limit_s = std::min(base.time_limit_s, dl.remaining_seconds());
+  per.jobs = 1;  // sharding decides; the caller's pool adds the rest
+  per.exec = ctx;
+  if (backends.empty()) {
+    janus_result r = janus_synthesizer(per).run(target);
+    JANUS_LOG(info) << target.name() << " -> " << r.solution_dims() << " ("
+                    << r.solution_size() << " switches)";
+    return r;
+  }
+  portfolio_options popts;
+  popts.backends = backends;
+  popts.base = per;
+  portfolio_result p = run_portfolio(target, popts, dl, ctx);
+  const backend::backend_result* win = p.winning();
+  JANUS_LOG(info) << target.name() << " -> "
+                  << (win != nullptr ? win->backend : "no winner");
+  return p;
+}
+
+void synthesis_counters::add(const target_result& outcome,
+                             bool store_configured) {
+  if (const auto* p = std::get_if<portfolio_result>(&outcome)) {
+    for (const backend::backend_result& entry : p->entries) {
+      solver_totals += entry.sat;
+    }
+    return;
+  }
+  const janus_result& r = std::get<janus_result>(outcome);
+  solver_totals += r.sat_totals;
+  total_probes += r.probes.size();
+  pruned_probes += r.pruned_probes;
+  // Constant targets return before the cache is ever consulted
+  // (ub_method "const"), so they belong in neither counter.
+  if (store_configured && r.ub_method != "const") {
+    ++(r.from_cache ? cache_hits : cache_misses);
+  }
+}
+
 batch_result synthesize_batch(std::span<const lm::target_spec> targets,
                               const batch_options& options) {
   batch_result batch;
-  const bool use_portfolio = !options.backends.empty();
-  if (use_portfolio) {
-    batch.portfolio.resize(targets.size());
-  } else {
-    batch.results.resize(targets.size());
-  }
+  std::vector<target_result> outcomes(targets.size());
   stopwatch batch_clock;
-  const double per_target = options.per_target_time_limit_s > 0.0
-                                ? options.per_target_time_limit_s
-                                : options.base.time_limit_s;
   const deadline total = options.total_time_limit_s > 0.0
                              ? deadline::in_seconds(options.total_time_limit_s)
                              : deadline::never();
@@ -30,6 +65,7 @@ batch_result synthesize_batch(std::span<const lm::target_spec> targets,
     pool = std::make_unique<exec::thread_pool>(
         static_cast<std::size_t>(options.jobs));
   }
+  const exec::context ctx{pool.get(), options.base.exec.cancel};
 
   {
     exec::task_group group(pool.get());
@@ -37,64 +73,40 @@ batch_result synthesize_batch(std::span<const lm::target_spec> targets,
       group.run([&, i] {
         // Per-target deadline, clipped by whatever remains of the batch
         // budget at the moment this target actually starts.
-        const double budget = std::min(per_target, total.remaining_seconds());
-        if (use_portfolio) {
-          portfolio_options popts;
-          popts.backends = options.backends;
-          popts.base = options.base;
-          exec::context ctx;
-          ctx.pool = options.parallel_probes ? pool.get() : nullptr;
-          batch.portfolio[i] = run_portfolio(
-              targets[i], popts, deadline::in_seconds(budget), ctx);
-          const backend::backend_result* win = batch.portfolio[i].winning();
-          JANUS_LOG(info) << "batch: " << targets[i].name() << " -> "
-                          << (win != nullptr ? win->backend : "no winner");
-          return;
-        }
-        janus_options per = options.base;
-        per.time_limit_s = budget;
-        per.jobs = 1;  // sharding decides; the shared pool adds the rest
-        per.exec.pool = options.parallel_probes ? pool.get() : nullptr;
-        janus_synthesizer engine(per);
-        batch.results[i] = engine.run(targets[i]);
-        JANUS_LOG(info) << "batch: " << targets[i].name() << " -> "
-                        << batch.results[i].solution_dims() << " ("
-                        << batch.results[i].solution_size() << " switches)";
+        outcomes[i] = synthesize_target(
+            targets[i], options.base, options.backends,
+            total.tightened(options.base.time_limit_s), ctx);
       });
     }
     group.wait();
   }
 
-  for (const portfolio_result& p : batch.portfolio) {
-    const backend::backend_result* win = p.winning();
-    if (win != nullptr) {
-      ++batch.solved;
-      if (win->realized != nullptr &&
-          std::string_view(win->realized->cost_unit()) == "switches") {
-        batch.total_switches += win->cost();
+  for (target_result& outcome : outcomes) {
+    batch.add(outcome, options.base.solutions != nullptr);
+    if (auto* p = std::get_if<portfolio_result>(&outcome)) {
+      const backend::backend_result* win = p->winning();
+      if (win != nullptr) {
+        ++batch.solved;
+        if (win->realized != nullptr &&
+            std::string_view(win->realized->cost_unit()) == "switches") {
+          batch.total_switches += win->cost();
+        }
       }
+      for (const backend::backend_result& entry : p->entries) {
+        batch.hit_time_limit =
+            batch.hit_time_limit ||
+            entry.status == backend::backend_status::timeout;
+      }
+      batch.portfolio.push_back(std::move(*p));
+      continue;
     }
-    for (const backend::backend_result& entry : p.entries) {
-      batch.solver_totals += entry.sat;
-      batch.hit_time_limit =
-          batch.hit_time_limit ||
-          entry.status == backend::backend_status::timeout;
-    }
-  }
-  for (const janus_result& r : batch.results) {
-    batch.solver_totals += r.sat_totals;
-    batch.total_probes += r.probes.size();
-    batch.pruned_probes += r.pruned_probes;
-    // Constant targets return before the cache is ever consulted
-    // (ub_method "const"), so they belong in neither counter.
-    if (options.base.solutions != nullptr && r.ub_method != "const") {
-      ++(r.from_cache ? batch.cache_hits : batch.cache_misses);
-    }
+    janus_result& r = std::get<janus_result>(outcome);
     if (r.solution.has_value()) {
       ++batch.solved;
       batch.total_switches += r.solution_size();
     }
     batch.hit_time_limit = batch.hit_time_limit || r.hit_time_limit;
+    batch.results.push_back(std::move(r));
   }
   batch.seconds = batch_clock.seconds();
   return batch;

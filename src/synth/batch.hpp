@@ -7,14 +7,20 @@
 // probes on the *same* pool (the task-group engine is nesting-safe), so
 // small batches still saturate the workers.
 //
+// A batch shard and a janusd request both run a target through
+// `synthesize_target` and count it with `synthesis_counters::add`, so janusd
+// answers what a batch answers by construction.
+//
 // Determinism: results are reported in input order, and every per-target
 // result is bit-identical in bounds and solution size to a jobs=1 run of the
 // same target (see tests/test_parallel.cpp), because winner selection at
 // every layer is independent of completion order.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "synth/janus.hpp"
@@ -22,8 +28,43 @@
 
 namespace janus::synth {
 
+/// One target's outcome: the JANUS ladder's result, or the backend race's
+/// table when backends were requested.
+using target_result = std::variant<janus_result, portfolio_result>;
+
+/// Run one target at jobs=1 on `ctx` (the caller's pool, which the probe
+/// fan-out or the race nests on, and the caller's cancel token), with
+/// `base.time_limit_s` clipped to `dl`: the JANUS ladder when `backends` is
+/// empty, else run_portfolio over those backends under `dl`. Throws what the
+/// engine throws (no_upper_bound_error when no bound construction verified).
+[[nodiscard]] target_result synthesize_target(
+    const lm::target_spec& target, const janus_options& base,
+    const std::vector<std::string>& backends, deadline dl,
+    const exec::context& ctx);
+
+/// The work counters a batch and janusd's /stats both report.
+struct synthesis_counters {
+  /// Summed over every dichotomic probe (JANUS) or raced backend (portfolio).
+  sat::solver_stats solver_totals;
+  std::uint64_t total_probes = 0;
+  /// Probes answered from the UNSAT frontiers without solving.
+  std::uint64_t pruned_probes = 0;
+  /// JANUS targets answered from the shared NP-canonical solution cache /
+  /// that consulted it and had to run their own ladder. Both stay 0 without
+  /// a store; constant targets never consult the store and are counted in
+  /// neither.
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+
+  /// Count one target; `store_configured`: it ran with `solutions` set.
+  void add(const target_result& outcome, bool store_configured);
+};
+
 struct batch_options {
-  janus_options base;  ///< per-target options (jobs/exec fields are ignored)
+  /// Per-target options: `base.time_limit_s` is the per-target budget and
+  /// `base.exec.cancel` the caller's cancel token; jobs and exec.pool are
+  /// ignored.
+  janus_options base;
 
   /// Non-empty: route every target through the backend portfolio (these
   /// names, in priority order) instead of the classic JANUS path — each
@@ -36,20 +77,13 @@ struct batch_options {
   /// races.
   int jobs = 1;
 
-  /// Wall-clock budget per target; <= 0 means base.time_limit_s.
-  double per_target_time_limit_s = 0.0;
-
   /// Overall wall-clock budget; <= 0 means unlimited. Targets that start
   /// after it expired report hit_time_limit with their initial bounds; an
   /// expiring budget also tightens the deadline of later-starting targets.
   double total_time_limit_s = 0.0;
-
-  /// Fan out each target's dichotomic probes on the shared pool (on by
-  /// default; off restricts parallelism to target-level sharding).
-  bool parallel_probes = true;
 };
 
-struct batch_result {
+struct batch_result : synthesis_counters {
   std::vector<janus_result> results;  ///< input order, one per target
   /// Portfolio mode only (`batch_options::backends` non-empty): one racing
   /// table per target, input order. `solved` then counts targets with a
@@ -57,17 +91,6 @@ struct batch_result {
   /// lattice-cost backends only (ESOP terms and chain steps are not
   /// switches).
   std::vector<portfolio_result> portfolio;
-  sat::solver_stats solver_totals;    ///< summed over all dichotomic probes
-  std::uint64_t total_probes = 0;
-  /// Probes answered from the UNSAT frontiers without solving, summed over
-  /// all targets.
-  std::uint64_t pruned_probes = 0;
-  /// Targets answered from the shared NP-canonical solution cache / targets
-  /// that consulted it and had to run their own ladder. Both stay 0 when
-  /// `base.solutions == nullptr` (no store configured); constant targets
-  /// never consult the store and are counted in neither.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   int solved = 0;  ///< targets that produced a verified solution
   int total_switches = 0;  ///< sum of solution sizes over solved targets
   bool hit_time_limit = false;  ///< any target hit a deadline

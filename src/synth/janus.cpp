@@ -37,7 +37,7 @@ std::vector<dims> lattice_candidates(int max_area) {
   }
   // Canonical probe order: smallest area first, then lexicographic (rows,
   // cols). The dichotomic step picks the first realizable candidate in this
-  // order whether it probes sequentially or fans out on a pool.
+  // order whether its fan-out runs inline or on a pool.
   std::sort(maximal.begin(), maximal.end(),
             [](const dims& a, const dims& b) {
               if (a.size() != b.size()) {
@@ -102,7 +102,7 @@ janus_synthesizer::bounds_report janus_synthesizer::compute_bounds(
     consider(build_idps(target, budget));
   }
   if (options_.use_ds && !cancelled()) {
-    consider(divide_and_synthesize(target, budget, options_.ds_depth));
+    consider(divide_and_synthesize(target, budget, 1));
   }
   const bound_solution* best = report.best();
   const int scan_limit = best != nullptr ? best->size() : 64;
@@ -176,57 +176,44 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
     }
   }
 
-  if (pool == nullptr) {
-    // Sequential jobs=1 fallback: canonical order, stop at the first
-    // realizable candidate — by construction the same winner the parallel
-    // branch selects.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pruned[i] != 0) {
-        continue;
+  // Fan out every candidate (inline, in rank order, without a pool); a SAT
+  // answer at rank i cancels only ranks > i (they cannot win selection), so
+  // every rank below the eventual winner always completes and the selection
+  // is deterministic. A task whose stop or budget fired before it started
+  // stays unprobed: inline, that is the scan that stops at the first
+  // realizable candidate.
+  std::vector<exec::cancel_source> stops;
+  stops.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    stops.emplace_back(options_.exec.cancel);
+  }
+  util::mutex step_mutex;
+  std::size_t best_rank = n;
+  exec::task_group group(pool);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pruned[i] != 0) {
+      continue;
+    }
+    group.run([&, i] {
+      lm::lm_options task_options = lm_options;
+      task_options.cancel = stops[i].token();
+      if (task_options.cancel.cancelled() || budget.expired()) {
+        return;
       }
-      if (budget.expired() || options_.exec.cancel.cancelled()) {
-        break;
-      }
-      outcomes[i] = probe(target, candidates[i], budget, lm_options);
+      outcomes[i] = probe(target, candidates[i], budget, task_options);
       probed[i] = 1;
       if (outcomes[i].result.status == lm::lm_status::realizable) {
-        break;
-      }
-    }
-  } else if (!budget.expired() && !options_.exec.cancel.cancelled()) {
-    // Fan out every candidate; a SAT answer at rank i cancels only ranks
-    // > i (they cannot win selection), so every rank below the eventual
-    // winner always completes and the selection is deterministic.
-    std::vector<exec::cancel_source> stops;
-    stops.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      stops.emplace_back(options_.exec.cancel);
-    }
-    util::mutex step_mutex;
-    std::size_t best_rank = n;
-    exec::task_group group(pool);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pruned[i] != 0) {
-        continue;
-      }
-      group.run([&, i] {
-        lm::lm_options task_options = lm_options;
-        task_options.cancel = stops[i].token();
-        outcomes[i] = probe(target, candidates[i], budget, task_options);
-        probed[i] = 1;
-        if (outcomes[i].result.status == lm::lm_status::realizable) {
-          util::lock_guard lock(step_mutex);
-          if (i < best_rank) {
-            best_rank = i;
-            for (std::size_t j = i + 1; j < n; ++j) {
-              stops[j].request_cancel();
-            }
+        util::lock_guard lock(step_mutex);
+        if (i < best_rank) {
+          best_rank = i;
+          for (std::size_t j = i + 1; j < n; ++j) {
+            stops[j].request_cancel();
           }
         }
-      });
-    }
-    group.wait();
+      }
+    });
   }
+  group.wait();
 
   // Records appear in canonical order regardless of completion order.
   std::optional<lattice_mapping> winner;
@@ -302,7 +289,8 @@ janus_result janus_synthesizer::run(const target_spec& target) {
   }
 
   // The probe fan-out pool: shared when the caller provided one (batch
-  // synthesis), created here for a standalone jobs=N run, absent for jobs=1.
+  // synthesis), created here for a standalone jobs=N run, absent for jobs=1
+  // (the fan-out then runs inline).
   std::unique_ptr<exec::thread_pool> owned_pool;
   exec::thread_pool* pool = options_.exec.pool;
   if (pool == nullptr && options_.jobs > 1) {
@@ -416,8 +404,7 @@ std::optional<bound_solution> janus_synthesizer::divide_and_synthesize(
 
   // Step 2: synthesize the sub-functions with JANUS itself.
   janus_options child_options = options_;
-  child_options.ds_depth = depth - 1;
-  child_options.use_ds = depth - 1 > 0;
+  child_options.use_ds = depth > 1;
   // Share the path cache: the parent enumerates the same small grids (IPS,
   // structural LB, the ladder), and paths depend only on dims and max_paths.
   child_options.lattice_info = &cache();

@@ -35,10 +35,10 @@ struct janus_options {
   double time_limit_s = 6.0 * 3600.0; ///< overall budget (paper: 6h CPU)
   std::size_t max_paths = 200'000;    ///< per-lattice path cap
 
-  /// Worker threads for the dichotomic probe fan-out. 1 (the default)
-  /// keeps the fully sequential pipeline. When
-  /// `exec.pool` is null and jobs > 1, run() creates its own pool; batch
-  /// synthesis instead shares one pool across targets via `exec`.
+  /// Worker threads for the dichotomic probe fan-out. 1 (the default) runs
+  /// the fan-out inline. When `exec.pool` is null and jobs > 1, run()
+  /// creates its own pool; batch synthesis instead shares one pool across
+  /// targets via `exec`.
   int jobs = 1;
   exec::context exec;  ///< shared pool + external cancellation (optional)
 
@@ -50,7 +50,6 @@ struct janus_options {
   bool use_ips = true;
   bool use_idps = true;
   bool use_ds = true;
-  int ds_depth = 1;  ///< DS recursion depth on sub-functions
 
   /// Structural-scan lower bound (Section III-B); otherwise lb = 1.
   bool use_structural_lb = true;
@@ -125,7 +124,7 @@ struct janus_result {
 /// both coordinates are dropped — realizability is monotone in rows and
 /// columns, which tests/lattice property tests verify). Returned in the
 /// canonical probe order — area ascending, then lexicographic (rows, cols) —
-/// which both the sequential and the parallel dichotomic step use to select
+/// which the dichotomic step uses, inline or on a pool, to select
 /// the winning candidate, so results are independent of completion order.
 [[nodiscard]] std::vector<lattice::dims> lattice_candidates(int max_area);
 
@@ -146,7 +145,9 @@ class janus_synthesizer {
   [[nodiscard]] bounds_report compute_bounds(const lm::target_spec& target,
                                              deadline budget);
 
-  /// The DS (divide and synthesize) construction — Section III-B.
+  /// The DS (divide and synthesize) construction — Section III-B. `depth`
+  /// 0 disables it; compute_bounds passes 1, so the two sub-function runs go
+  /// without DS; any larger depth lets them apply it once more.
   [[nodiscard]] std::optional<bound_solution> divide_and_synthesize(
       const lm::target_spec& target, deadline budget, int depth);
 
@@ -170,11 +171,12 @@ class janus_synthesizer {
                       deadline budget, const lm::lm_options& lm_options);
 
   /// One dichotomic step: probe every lattice_candidates(mp) entry through
-  /// the run's `sessions` — concurrently when `pool` is non-null — and
-  /// return the realization of the first candidate (in canonical order)
-  /// that is realizable. A SAT
-  /// answer cancels every candidate ranked after it; lower-ranked probes
-  /// always finish, keeping the selected winner deterministic. Candidates
+  /// the run's `sessions` — concurrently when `pool` is non-null, inline in
+  /// rank order otherwise — and return the realization of the first
+  /// candidate (in canonical order) that is realizable. A SAT answer
+  /// cancels every candidate ranked after it, and a cancelled candidate that
+  /// has not started is never probed; lower-ranked probes always finish,
+  /// keeping the selected winner deterministic. Candidates
   /// dominated by the UNSAT frontier are answered unrealizable up front
   /// (logged with zero solve time) instead of probed.
   std::optional<lattice::lattice_mapping> probe_step(

@@ -340,6 +340,23 @@ TEST(portfolio, external_cancellation_cascades) {
   }
 }
 
+TEST(portfolio, batch_honors_caller_cancellation) {
+  // The caller's token (the CLI's Ctrl-C source) must reach every raced
+  // backend of a batch, the lattice ones included.
+  exec::cancel_source source;
+  source.request_cancel();
+  synth::batch_options options;
+  options.backends = {"janus", "esop"};
+  options.base.exec.cancel = source.token();
+  const std::vector<target_spec> targets = {small_target()};
+  const synth::batch_result batch = synth::synthesize_batch(targets, options);
+  ASSERT_EQ(batch.portfolio.size(), 1u);
+  EXPECT_EQ(batch.portfolio[0].winner, -1);
+  for (const backend::backend_result& entry : batch.portfolio[0].entries) {
+    EXPECT_EQ(entry.status, backend_status::cancelled) << entry.backend;
+  }
+}
+
 TEST(portfolio, batch_routes_targets_through_backends) {
   std::vector<target_spec> targets = {
       target_spec::parse(2, "ab", "and2"),

@@ -151,34 +151,33 @@ TEST_P(EncodingAgreement, PathAndReachabilityAgree) {
 INSTANTIATE_TEST_SUITE_P(Blocks, EncodingAgreement, ::testing::Range(0, 4));
 
 /// The dual problem (f^D via 8-connected paths) must be equisatisfiable with
-/// the primal, and its decoded mapping (constants flipped) must realize f.
+/// the primal, and each side's decoded mapping (the dual's constants flipped)
+/// must realize f. Both sides are encoded directly: solve_lm would only solve
+/// the cheaper one.
 TEST(LmSolver, DualProblemEquivalence) {
   lattice_info_cache cache;
-  lm_options primal_only = complete_options();
-  primal_only.allow_dual_problem = false;
+  const lm_encode_options eo = complete_options().encode;
   for (const char* text :
        {"ab + c", "abc + a'b'", "ab + b'c + ac'", "abcd + a'b'cd'",
         "ab' + cd'"}) {
     const target_spec t = target_spec::parse(4, text);
     for (const dims d : {dims{2, 3}, dims{3, 3}, dims{3, 4}}) {
-      const lm_result primal = solve_lm(t, cache.get(d), primal_only);
-      // Force the dual problem by posing the dual target on the transposed
-      // semantics: build the encoder for the dual side directly.
       const lattice_info& info = cache.get(d);
-      lm_encode_options eo = primal_only.encode;
-      const lm_encoder dual_encoder(t, info, /*dual_side=*/true, eo);
-      sat::solver s;
-      ASSERT_TRUE(s.add_cnf(dual_encoder.formula()) || true);
-      const sat::solve_result verdict = s.solve();
-      ASSERT_NE(verdict, sat::solve_result::unknown);
-      EXPECT_EQ(verdict == sat::solve_result::sat,
-                primal.status == lm_status::realizable)
+      const auto side_is_sat = [&](bool dual_side) {
+        const lm_encoder encoder(t, info, dual_side, eo);
+        sat::solver s;
+        (void)s.add_cnf(encoder.formula());  // false: solve() says unsat
+        const sat::solve_result verdict = s.solve();
+        EXPECT_NE(verdict, sat::solve_result::unknown);
+        if (verdict == sat::solve_result::sat) {
+          EXPECT_TRUE(encoder.decode(s).realizes(t.function()))
+              << (dual_side ? "dual" : "primal") << " decode failed for "
+              << text << " on " << d.str();
+        }
+        return verdict == sat::solve_result::sat;
+      };
+      EXPECT_EQ(side_is_sat(false), side_is_sat(true))
           << text << " on " << d.str();
-      if (verdict == sat::solve_result::sat) {
-        const auto mapping = dual_encoder.decode(s);
-        EXPECT_TRUE(mapping.realizes(t.function()))
-            << "dual decode failed for " << text << " on " << d.str();
-      }
     }
   }
 }

@@ -209,8 +209,8 @@ TEST(Batch, PerTargetDeadlineIsHonored) {
   const std::vector<target_spec> targets = small_table2_targets();
   synth::batch_options o;
   o.base = test_options();
+  o.base.time_limit_s = 1e-9;
   o.jobs = 2;
-  o.per_target_time_limit_s = 1e-9;
   const synth::batch_result r = synth::synthesize_batch(targets, o);
   ASSERT_EQ(r.results.size(), targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {

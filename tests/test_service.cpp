@@ -1,7 +1,8 @@
 // Tests for the janusd service engine (src/service/): the latency histogram,
 // the fair queue's round-robin and capacity bound, admission control under a
 // burst, per-client fairness, deadline-expired timeouts, graceful drain
-// producing results bit-identical to a direct synthesize_batch run, warm
+// producing results bit-identical to a direct synthesize_batch run (JANUS
+// and portfolio requests alike), warm
 // restart from the persisted store, the shutdown-op lifecycle, the /stats
 // counters, and the self-pipe signal watcher.
 //
@@ -135,6 +136,13 @@ std::string synth_line(const std::string& id, const std::string& bits,
     line += ",\"deadline_ms\":" + std::to_string(deadline_ms);
   }
   line += "}";
+  return line;
+}
+
+std::string backend_synth_line(const std::string& id, const std::string& bits,
+                               const std::string& backend) {
+  std::string line = synth_line(id, bits);
+  line.insert(line.size() - 1, ",\"backend\":\"" + backend + "\"");
   return line;
 }
 
@@ -383,10 +391,18 @@ TEST(ServiceDrain, GraceCoversAPoppedButUncountedJob) {
 
 // ---- drain vs synthesize_batch ----------------------------------------------
 
-TEST(ServiceDrain, ResultsBitIdenticalToSynthesizeBatch) {
-  const std::vector<std::string> tables = {"01101001", "0110", "0001",
-                                           "11101000", "1001"};
+const std::vector<std::string>& drain_tables() {
+  static const std::vector<std::string> tables = {"01101001", "0110", "0001",
+                                                  "11101000", "1001"};
+  return tables;
+}
 
+/// Submit one request per drain table (routed to `backend` when non-empty)
+/// to a fresh single-worker service without deadlines, drain it, and collect
+/// each request's only output, in table order.
+void drain_outputs(const std::string& backend, std::vector<json_value>& outputs,
+                   service_stats& stats) {
+  const std::vector<std::string>& tables = drain_tables();
   response_sink sink;
   service_options options = quick_options();
   options.default_deadline_s = 0.0;  // unlimited, like the batch run
@@ -396,29 +412,19 @@ TEST(ServiceDrain, ResultsBitIdenticalToSynthesizeBatch) {
     // -Wrestrict at -O3 (GCC PR105329) under -Werror.
     std::string id(1, 't');
     id += std::to_string(k);
-    svc.submit_line(1, synth_line(id, tables[k]), sink.callback());
+    svc.submit_line(1,
+                    backend.empty() ? synth_line(id, tables[k])
+                                    : backend_synth_line(id, tables[k], backend),
+                    sink.callback());
   }
   svc.drain(60.0);  // in-flight and queued work all completes
   ASSERT_TRUE(sink.wait_for(tables.size()));
+  stats = svc.stats();
 
-  // The reference: the same targets through synthesize_batch with the same
-  // per-target options and a fresh shared store, sequentially.
-  std::vector<lm::target_spec> targets;
-  for (const std::string& bits : tables) {
-    targets.push_back(lm::target_spec::from_function(
-        bf::truth_table::from_binary_string(bits), "f"));
-  }
-  cache::solution_cache store;
-  synth::batch_options batch;
-  batch.base = quick_options().base;
-  batch.base.solutions = &store;
-  batch.jobs = 1;
-  const synth::batch_result reference = synth::synthesize_batch(targets, batch);
-
-  // Responses can be matched back by id; compare size and both bounds.
+  // Responses are matched back by id.
   const std::vector<std::string> lines = sink.snapshot();
   ASSERT_EQ(lines.size(), tables.size());
-  int matched = 0;
+  outputs.assign(tables.size(), json_value{});
   for (const std::string& line : lines) {
     const json_value doc = parse_response(line);
     ASSERT_EQ(field_string(doc, "status"), "ok") << line;
@@ -427,27 +433,71 @@ TEST(ServiceDrain, ResultsBitIdenticalToSynthesizeBatch) {
     ASSERT_TRUE(parsed.has_value()) << id;
     const std::size_t k = static_cast<std::size_t>(*parsed);
     ASSERT_LT(k, tables.size());
-    const json_value* outputs = doc.find("outputs");
-    ASSERT_NE(outputs, nullptr);
-    ASSERT_TRUE(outputs->is_array());
-    ASSERT_EQ(outputs->items.size(), 1u);
-    const json_value& out = outputs->items[0];
-    const json_value* switches = out.find("switches");
-    const json_value* lower = out.find("lb");
+    const json_value* items = doc.find("outputs");
+    ASSERT_NE(items, nullptr);
+    ASSERT_TRUE(items->is_array());
+    ASSERT_EQ(items->items.size(), 1u);
+    outputs[k] = items->items[0];
+  }
+}
+
+/// The reference: the drain tables through synthesize_batch with the same
+/// per-target options and a fresh shared store, sequentially.
+synth::batch_result drain_reference(const std::vector<std::string>& backends) {
+  std::vector<lm::target_spec> targets;
+  for (const std::string& bits : drain_tables()) {
+    targets.push_back(lm::target_spec::from_function(
+        bf::truth_table::from_binary_string(bits), "f"));
+  }
+  cache::solution_cache store;
+  synth::batch_options batch;
+  batch.base = quick_options().base;
+  batch.base.solutions = &store;
+  batch.backends = backends;
+  batch.jobs = 1;
+  return synth::synthesize_batch(targets, batch);
+}
+
+TEST(ServiceDrain, ResultsBitIdenticalToSynthesizeBatch) {
+  std::vector<json_value> outputs;
+  service_stats s;
+  ASSERT_NO_FATAL_FAILURE(drain_outputs("", outputs, s));
+  const synth::batch_result reference = drain_reference({});
+  ASSERT_EQ(reference.results.size(), outputs.size());
+  for (std::size_t k = 0; k < outputs.size(); ++k) {
+    const json_value* switches = outputs[k].find("switches");
+    const json_value* lower = outputs[k].find("lb");
     ASSERT_NE(switches, nullptr);
     ASSERT_NE(lower, nullptr);
     EXPECT_EQ(static_cast<int>(switches->number),
               reference.results[k].solution_size())
-        << "size mismatch for " << id;
+        << "size mismatch for t" << k;
     EXPECT_EQ(static_cast<int>(lower->number), reference.results[k].lower_bound)
-        << "lower bound mismatch for " << id;
-    ++matched;
+        << "lower bound mismatch for t" << k;
   }
-  EXPECT_EQ(matched, static_cast<int>(tables.size()));
   // Same work, same shared-store behaviour: identical hit/miss accounting.
-  const service_stats s = svc.stats();
   EXPECT_EQ(s.cache_hits, reference.cache_hits);
   EXPECT_EQ(s.cache_misses, reference.cache_misses);
+}
+
+TEST(ServiceDrain, PortfolioResultsMatchSynthesizeBatch) {
+  std::vector<json_value> outputs;
+  service_stats s;
+  ASSERT_NO_FATAL_FAILURE(drain_outputs("portfolio", outputs, s));
+  const synth::batch_result reference =
+      drain_reference(janus::backend::backend_names());
+  ASSERT_EQ(reference.portfolio.size(), outputs.size());
+  for (std::size_t k = 0; k < outputs.size(); ++k) {
+    const janus::backend::backend_result* win =
+        reference.portfolio[k].winning();
+    ASSERT_NE(win, nullptr) << "t" << k;
+    const json_value* cost = outputs[k].find("cost");
+    ASSERT_NE(cost, nullptr) << "t" << k;
+    EXPECT_EQ(field_string(outputs[k], "backend"), win->backend) << "t" << k;
+    EXPECT_EQ(static_cast<int>(cost->number), win->cost()) << "t" << k;
+    EXPECT_EQ(field_string(outputs[k], "unit"), win->realized->cost_unit())
+        << "t" << k;
+  }
 }
 
 // ---- warm restart -----------------------------------------------------------
@@ -573,13 +623,6 @@ TEST(ServiceStats, CountersTrackActivity) {
 }
 
 // ---- backend routing --------------------------------------------------------
-
-std::string backend_synth_line(const std::string& id, const std::string& bits,
-                               const std::string& backend) {
-  std::string line = synth_line(id, bits);
-  line.insert(line.size() - 1, ",\"backend\":\"" + backend + "\"");
-  return line;
-}
 
 TEST(ServiceBackends, UnknownBackendNameIsTypedBadRequest) {
   response_sink sink;
