@@ -9,7 +9,7 @@
 // variable elimination); the session columns are what every ladder runs, so
 // the scratch_on vs session_on pair is the measured reason the one-shot
 // path is kept as a reference. Per row it
-// records wall and solver seconds, conflicts, propagations and the three
+// records wall seconds, conflicts, propagations and the two
 // simplification counters; every configuration must report the same
 // realization size (the bench exits non-zero otherwise — simplification is
 // a pure transformation, never an approximation).
@@ -17,7 +17,7 @@
 // The headline number is the total wall speedup of inprocessing on over
 // off across all rows. Scratch rows carry the full reduction (bounded
 // variable elimination included); session rows freeze their interface, so
-// they isolate the probing / vivification share.
+// they isolate the vivification share.
 //
 // Output: a human summary on stderr and one JSON document on stdout; the
 // same JSON is also written to the path in argv[1] (default
@@ -65,7 +65,6 @@ std::vector<bench_row> bench_rows() {
 
 struct config_totals {
   double wall = 0.0;        ///< ladder wall time (encode + solve)
-  double solve = 0.0;       ///< SAT time alone (the quantity under test)
   janus::sat::solver_stats sat;
   int size = -1;            ///< realization switches of the last SAT probe
 };
@@ -92,7 +91,6 @@ config_totals run_config(const janus::lm::target_spec& target,
   for (const dims& d : ladder) {
     const janus::lm::lm_result r =
         janus::lm::solve_lm(target, cache.get(d), options);
-    out.solve += r.solve_seconds;
     out.sat += r.solver;
     if (r.status == janus::lm::lm_status::realizable && r.mapping) {
       out.size = static_cast<int>(r.mapping->size());
@@ -113,7 +111,6 @@ int main(int argc, char** argv) {
   std::vector<std::vector<config_totals>> results;
   bool sizes_match = true;
   double wall[2] = {0.0, 0.0};   // [inprocess off, on] across both modes
-  double solve[2] = {0.0, 0.0};
   janus::sat::solver_stats sat[2];
   for (const bench_row& row : rows) {
     const janus::lm::target_spec target = janus::instances::make_table2_instance(
@@ -124,7 +121,6 @@ int main(int argc, char** argv) {
       const bool session = (cfg & 2) != 0;
       config_totals t = run_config(target, row.ladder, session, inprocess);
       wall[inprocess ? 1 : 0] += t.wall;
-      solve[inprocess ? 1 : 0] += t.solve;
       sat[inprocess ? 1 : 0] += t.sat;
       per_config.push_back(t);
     }
@@ -150,18 +146,15 @@ int main(int argc, char** argv) {
     results.push_back(std::move(per_config));
   }
 
-  const bool simplifier_fired = sat[1].eliminated_vars + sat[1].vivified +
-                                    sat[1].probed_failed_lits >
-                                0;
+  const bool simplifier_fired = sat[1].eliminated_vars + sat[1].vivified > 0;
   const double wall_speedup = wall[1] > 0.0 ? wall[0] / wall[1] : 0.0;
-  const double solve_speedup = solve[1] > 0.0 ? solve[0] / solve[1] : 0.0;
   const auto ratio = [](std::uint64_t off, std::uint64_t on) {
     return off > 0 ? static_cast<double>(on) / static_cast<double>(off) : 1.0;
   };
   std::fprintf(stderr,
-               "total: %.2fx wall speedup (%.2fx solver-time), conflicts "
-               "x%.3f, props x%.3f, sizes %s, simplifier %s\n",
-               wall_speedup, solve_speedup,
+               "total: %.2fx wall speedup, conflicts x%.3f, props x%.3f, "
+               "sizes %s, simplifier %s\n",
+               wall_speedup,
                ratio(sat[0].conflicts, sat[1].conflicts),
                ratio(sat[0].propagations, sat[1].propagations),
                sizes_match ? "identical" : "MISMATCH",
@@ -183,17 +176,15 @@ int main(int argc, char** argv) {
   emit("  \"totals\": {\n");
   for (int on = 0; on < 2; ++on) {
     emit("    \"inprocess_%s\": {\"wall_seconds\": %.3f, "
-         "\"solve_seconds\": %.3f, \"conflicts\": %llu, "
-         "\"propagations\": %llu, \"eliminated_vars\": %llu, "
-         "\"vivified\": %llu, \"probed_failed_lits\": %llu},\n",
-         on != 0 ? "on" : "off", wall[on], solve[on], u(sat[on].conflicts),
+         "\"conflicts\": %llu, \"propagations\": %llu, "
+         "\"eliminated_vars\": %llu, \"vivified\": %llu},\n",
+         on != 0 ? "on" : "off", wall[on], u(sat[on].conflicts),
          u(sat[on].propagations), u(sat[on].eliminated_vars),
-         u(sat[on].vivified), u(sat[on].probed_failed_lits));
+         u(sat[on].vivified));
   }
   emit("    \"conflict_ratio\": %.4f,\n",
        ratio(sat[0].conflicts, sat[1].conflicts));
-  emit("    \"wall_speedup\": %.3f,\n", wall_speedup);
-  emit("    \"solve_speedup\": %.3f\n  },\n", solve_speedup);
+  emit("    \"wall_speedup\": %.3f\n  },\n", wall_speedup);
   emit("  \"instances\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::string ladder;
@@ -207,14 +198,12 @@ int main(int argc, char** argv) {
          rows[i].name, ladder.c_str(), results[i][0].size);
     for (int cfg = 0; cfg < kConfigs; ++cfg) {
       const config_totals& t = results[i][cfg];
-      emit("     \"%s\": {\"wall_seconds\": %.3f, \"solve_seconds\": %.3f, "
-           "\"conflicts\": %llu, \"propagations\": %llu, "
-           "\"eliminated_vars\": %llu, \"vivified\": %llu, "
-           "\"probed_failed_lits\": %llu}%s\n",
-           kConfigName[cfg], t.wall, t.solve, u(t.sat.conflicts),
+      emit("     \"%s\": {\"wall_seconds\": %.3f, \"conflicts\": %llu, "
+           "\"propagations\": %llu, \"eliminated_vars\": %llu, "
+           "\"vivified\": %llu}%s\n",
+           kConfigName[cfg], t.wall, u(t.sat.conflicts),
            u(t.sat.propagations), u(t.sat.eliminated_vars),
-           u(t.sat.vivified), u(t.sat.probed_failed_lits),
-           cfg + 1 < kConfigs ? "," : "}");
+           u(t.sat.vivified), cfg + 1 < kConfigs ? "," : "}");
     }
     emit("%s\n", i + 1 < rows.size() ? "    ," : "");
   }

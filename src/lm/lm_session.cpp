@@ -27,7 +27,6 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
                                            const exec::cancel_token& stop) {
   JANUS_CHECK_MSG(!info.oversized, "cannot encode an oversized lattice");
   probe_result out;
-  stopwatch encode_clock;
 
   const auto key = std::make_pair(info.d.rows, info.d.cols);
   const auto found = groups_.find(key);
@@ -95,7 +94,6 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
                      << groups_.size() << " groups, " << layout_.num_cells()
                      << " slots)";
   }
-  out.encode_seconds = encode_clock.seconds();
 
   // Activate this group, deactivate every other one. Deactivation satisfies
   // the other groups' clauses through their guards up front instead of
@@ -128,7 +126,6 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
 
   // Per-call budgets and stop flag; the flag is detached again afterwards
   // because the token may die with the call.
-  stopwatch solve_clock;
   solver_.set_deadline(budget.tightened(sat_time_limit_s));
   solver_.set_conflict_budget(conflict_budget);
   solver_.set_stop_flag(stop.flag());
@@ -136,7 +133,6 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
   out.verdict = solver_.solve(assumptions);
   solver_.set_stop_flag(nullptr);
   out.solver_delta = solver_.stats() - before;
-  out.solve_seconds = solve_clock.seconds();
   last_probe_conflicts_ = out.solver_delta.conflicts;
 
   if (out.verdict == sat::solve_result::sat) {

@@ -64,8 +64,8 @@ namespace janus::lm {
 /// Solver configuration for LM instances: inprocessing on. One-shot solves
 /// freeze nothing and get the full reduction (bounded variable elimination
 /// included); sessions freeze every interface variable, so they keep the
-/// probing and vivification rounds but skip elimination — the split
-/// docs/solver.md describes.
+/// vivification rounds but skip elimination — the split docs/solver.md
+/// describes.
 [[nodiscard]] inline sat::solver_options default_lm_solver_options() {
   sat::solver_options o;
   o.inprocess = true;
@@ -90,8 +90,6 @@ class lm_session {
     bool reused_group = false;  ///< dims was already encoded in this session
     /// Clauses newly added for this probe (0/0 when the group was reused).
     lm_encoding_stats encoding;
-    double encode_seconds = 0.0;
-    double solve_seconds = 0.0;
     /// Solver work attributable to this solve() call (stats delta).
     sat::solver_stats solver_delta;
   };
@@ -108,7 +106,6 @@ class lm_session {
   [[nodiscard]] bool dual_side() const { return dual_side_; }
   [[nodiscard]] const sat::solver& solver() const { return solver_; }
   [[nodiscard]] std::size_t num_groups() const { return groups_.size(); }
-  [[nodiscard]] int num_slots() const { return layout_.num_cells(); }
 
  private:
   struct dims_group {

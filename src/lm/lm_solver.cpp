@@ -23,22 +23,17 @@ sat::solve_result solve_side(lm_result& result, const target_spec& target,
     result.definitely_unrealizable = pr.rule_free_unsat;
     result.mapping = std::move(pr.mapping);
     result.encoding = pr.encoding;
-    result.encode_seconds = pr.encode_seconds;
-    result.solve_seconds = pr.solve_seconds;
     result.solver = pr.solver_delta;
     return pr.verdict;
   }
 
-  stopwatch encode_clock;
   const lm_encoder encoder(target, info, dual_side, options.encode);
   result.encoding = encoder.stats();
-  result.encode_seconds = encode_clock.seconds();
 
   JANUS_LOG(debug) << "LM " << info.d.str() << (dual_side ? " (dual)" : "")
                    << ": " << encoder.stats().num_vars << " vars, "
                    << encoder.stats().num_clauses << " clauses";
 
-  stopwatch solve_clock;
   sat::solver s(options.solver);
   sat::solve_result verdict = sat::solve_result::unsat;
   if (s.add_cnf(encoder.formula())) {
@@ -52,7 +47,6 @@ sat::solve_result solve_side(lm_result& result, const target_spec& target,
       result.mapping = encoder.decode(s);
     }
   }
-  result.solve_seconds = solve_clock.seconds();
   result.solver = s.stats();
   return verdict;
 }

@@ -75,8 +75,6 @@ struct lm_result {
   /// frontier pruning needs for scratch-parity.
   bool definitely_unrealizable = false;
   lm_encoding_stats encoding;
-  double encode_seconds = 0.0;
-  double solve_seconds = 0.0;
   /// SAT counters of the solve this call ran; batch synthesis aggregates
   /// these across targets.
   sat::solver_stats solver;

@@ -11,7 +11,6 @@ using lattice::dims;
 lm_result solve_lm_reachability(const target_spec& target, const dims& d,
                                 const lm_options& options, deadline budget) {
   lm_result result;
-  stopwatch encode_clock;
 
   // The reachability TL always offers every literal of every variable (the
   // ablation deliberately skips the ISOP filtering of the path encoding).
@@ -119,9 +118,7 @@ lm_result solve_lm_reachability(const target_spec& target, const dims& d,
 
   result.encoding.num_vars = static_cast<std::uint64_t>(f.num_vars());
   result.encoding.num_clauses = f.num_clauses();
-  result.encode_seconds = encode_clock.seconds();
 
-  stopwatch solve_clock;
   sat::solver s(options.solver);
   sat::solve_result verdict = sat::solve_result::unsat;
   if (s.add_cnf(f)) {
@@ -130,7 +127,6 @@ lm_result solve_lm_reachability(const target_spec& target, const dims& d,
     s.set_stop_flag(options.cancel.flag());
     verdict = s.solve();
   }
-  result.solve_seconds = solve_clock.seconds();
   result.solver = s.stats();
 
   switch (verdict) {

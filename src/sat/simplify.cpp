@@ -13,7 +13,6 @@ inline bool is_undef(lbool v) { return v == lbool::undef; }
 // Per-round work caps (docs/solver.md).
 constexpr std::size_t kBveOccurrenceLimit = 16;  // per-polarity occurrences
 constexpr std::size_t kBveResolventLimit = 24;   // literals of a kept resolvent
-constexpr std::size_t kProbesPerRound = 128;     // failed-literal probes
 constexpr std::size_t kVivifyPerRound = 96;      // learnt clauses vivified
 constexpr std::uint32_t kVivifySizeLimit = 48;   // longest clause vivified
 }  // namespace
@@ -258,75 +257,8 @@ void simplifier::try_eliminate(var v) {
 }
 
 // --------------------------------------------------------------------------
-// Failed-literal probing and clause vivification
+// Learnt-clause vivification
 // --------------------------------------------------------------------------
-
-void simplifier::probe_failed_literals() {
-  const auto nn = static_cast<std::size_t>(s_.num_vars()) * 2;
-  std::vector<std::uint8_t> has_out(nn, 0);
-  std::vector<std::uint8_t> has_in(nn, 0);
-  const auto mark_edges = [&](const std::vector<solver::clause_ref>& list) {
-    for (const solver::clause_ref c : list) {
-      if (s_.clause_deleted(c) || s_.clause_size(c) != 2) {
-        continue;
-      }
-      const lit* cl = s_.clause_lits(c);
-      has_out[static_cast<std::size_t>((~cl[0]).code())] = 1;
-      has_in[static_cast<std::size_t>(cl[1].code())] = 1;
-      has_out[static_cast<std::size_t>((~cl[1]).code())] = 1;
-      has_in[static_cast<std::size_t>(cl[0].code())] = 1;
-    }
-  };
-  mark_edges(s_.clauses_);
-  mark_edges(s_.learnts_);
-  // Roots of the binary implication graph imply whole subtrees, so probing
-  // them first maximizes what one propagation can refute. Fall back to any
-  // literal with successors when no true root exists (cycle remnants).
-  std::vector<lit> candidates;
-  for (std::size_t code = 0; code < nn; ++code) {
-    const lit l = lit::from_code(static_cast<std::int32_t>(code));
-    if (has_out[code] != 0 && has_in[code] == 0 && is_undef(s_.value(l))) {
-      candidates.push_back(l);
-    }
-  }
-  if (candidates.empty()) {
-    for (std::size_t code = 0; code < nn; ++code) {
-      const lit l = lit::from_code(static_cast<std::int32_t>(code));
-      if (has_out[code] != 0 && is_undef(s_.value(l))) {
-        candidates.push_back(l);
-      }
-    }
-  }
-  if (candidates.empty()) {
-    return;
-  }
-  // The persistent ticket rotates the starting point so successive rounds
-  // cover different parts of the graph instead of re-probing the same head.
-  const std::size_t count = std::min(candidates.size(), kProbesPerRound);
-  for (std::size_t k = 0; k < count; ++k) {
-    if (!s_.ok_ || s_.stopped_externally()) {
-      break;
-    }
-    const lit p = candidates[(s_.probe_ticket_ + k) % candidates.size()];
-    if (!is_undef(s_.value(p))) {
-      continue;
-    }
-    s_.new_decision_level();
-    s_.unchecked_enqueue(p, solver::cr_undef);
-    const bool failed = s_.propagate() != solver::cr_undef;
-    s_.cancel_until(0);
-    if (failed) {
-      ++s_.stats_.probed_failed_lits;
-      s_.unchecked_enqueue(~p, solver::cr_undef);
-      if (s_.propagate() != solver::cr_undef) {
-        s_.ok_ = false;
-        return;
-      }
-      clear_level0_reasons();
-    }
-  }
-  s_.probe_ticket_ += count;
-}
 
 void simplifier::vivify_learnts() {
   std::vector<solver::clause_ref> cands;
@@ -444,14 +376,11 @@ void simplifier::inprocess() {
   if (!settle()) {
     return;
   }
-  // Probing and vivification run speculative propagations whose cancel paths
-  // would overwrite the search's saved phases with probe polarities; snapshot
+  // Vivification runs speculative propagations whose cancel paths would
+  // overwrite the search's saved phases with its assumed polarities; snapshot
   // and restore them so inprocessing leaves phase saving untouched.
   const std::vector<std::uint8_t> phases = s_.saved_phase_;
-  probe_failed_literals();
-  if (s_.ok_) {
-    vivify_learnts();
-  }
+  vivify_learnts();
   s_.saved_phase_ = phases;
   if (!s_.ok_) {
     return;

@@ -11,8 +11,7 @@
 //     freeze nothing and get the full reduction.
 //
 //   * inprocess() — at restart boundaries on a conflict-count schedule:
-//     cleanup, ticket-scheduled failed-literal probing on the binary
-//     implication graph, and vivification of high-LBD learned clauses.
+//     cleanup and vivification of high-LBD learned clauses.
 //
 // Frozen variables (solver::freeze) are exempt from elimination, which
 // keeps assumption literals and final-conflict extraction sound; see
@@ -62,8 +61,7 @@ class simplifier {
   [[nodiscard]] bool resolve_pair(solver::clause_ref p, solver::clause_ref n,
                                   var v, std::vector<lit>& out);
 
-  // probing and vivification
-  void probe_failed_literals();
+  // vivification
   void vivify_learnts();
 
   // stamping helpers (lit-code indexed)

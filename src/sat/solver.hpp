@@ -56,7 +56,7 @@
 //     collection,
 //   * solving under assumptions (with final-conflict extraction),
 //   * inprocessing (sat/simplify.hpp): preprocessing-time bounded variable
-//     elimination, failed-literal probing and clause vivification.
+//     elimination and learnt-clause vivification.
 #pragma once
 
 #include <algorithm>
@@ -84,9 +84,8 @@ struct solver_stats {
   std::uint64_t removed_clauses = 0;
   std::uint64_t minimized_literals = 0;
   // Inprocessing counters (sat/simplify.cpp).
-  std::uint64_t eliminated_vars = 0;     ///< variables removed by BVE
-  std::uint64_t vivified = 0;            ///< learned clauses shrunk by vivification
-  std::uint64_t probed_failed_lits = 0;  ///< failed literals found by probing
+  std::uint64_t eliminated_vars = 0;  ///< variables removed by BVE
+  std::uint64_t vivified = 0;         ///< learned clauses shrunk by vivification
 };
 
 /// Accumulate counters across solver instances (per-probe and
@@ -101,7 +100,6 @@ inline solver_stats& operator+=(solver_stats& lhs, const solver_stats& rhs) {
   lhs.minimized_literals += rhs.minimized_literals;
   lhs.eliminated_vars += rhs.eliminated_vars;
   lhs.vivified += rhs.vivified;
-  lhs.probed_failed_lits += rhs.probed_failed_lits;
   return lhs;
 }
 
@@ -120,7 +118,6 @@ inline solver_stats operator-(const solver_stats& after,
   d.minimized_literals = after.minimized_literals - before.minimized_literals;
   d.eliminated_vars = after.eliminated_vars - before.eliminated_vars;
   d.vivified = after.vivified - before.vivified;
-  d.probed_failed_lits = after.probed_failed_lits - before.probed_failed_lits;
   return d;
 }
 
@@ -427,7 +424,6 @@ class solver {
   bool preprocessed_ = false;
   bool inprocess_scheduled_ = false;  ///< first round booked (see solve())
   std::uint64_t next_inprocess_ = 0;
-  std::size_t probe_ticket_ = 0;        // rotating failed-literal probe cursor
 
   // glucose-style restart policy state
   double lbd_ema_fast_ = 0.0;

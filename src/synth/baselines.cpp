@@ -92,9 +92,11 @@ janus_result run_heuristic11(const target_spec& target,
       if (d.size() >= best.size() || budget.expired()) {
         continue;
       }
+      stopwatch probe_clock;
       const lm::lm_result r =
           lm::solve_lm(target, engine.cache().get(d), o.lm, budget);
-      result.probes.push_back({d, r.status, 0.0});
+      result.probes.push_back({d, r.status, probe_clock.seconds()});
+      result.sat_totals += r.solver;
       if (r.status == lm::lm_status::realizable) {
         best = *r.mapping;
         improved = true;

@@ -364,7 +364,6 @@ janus_result janus_synthesizer::run(const target_spec& target) {
     result.sat_totals = sat_totals_;
   }
   result.pruned_probes = session_pool.pruned_probes();
-  result.sessions_created = session_pool.sessions_created();
   result.seconds = total_clock.seconds();
   return result;
 }

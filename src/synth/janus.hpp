@@ -105,8 +105,6 @@ struct janus_result {
   /// `sat_totals`, this covers the ladder, not the DS / MF sub-ladders
   /// (which use their own per-subtarget pools).
   std::uint64_t pruned_probes = 0;
-  /// Incremental sessions created by the ladder's pool.
-  std::uint64_t sessions_created = 0;
   /// Answered from the NP-canonical solution cache: no bounds, no ladder;
   /// `solution` is the inverse-transformed, oracle-re-verified cached
   /// mapping and `ub_method` reads "cache".

@@ -162,7 +162,6 @@ std::string to_json(const sat::solver_stats& stats) {
       .field("minimized_literals", stats.minimized_literals)
       .field("eliminated_vars", stats.eliminated_vars)
       .field("vivified", stats.vivified)
-      .field("probed_failed_lits", stats.probed_failed_lits)
       .end_object();
   return w.str();
 }

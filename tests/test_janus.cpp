@@ -205,6 +205,17 @@ TEST(Baselines, AllMethodsProduceVerifiedSolutions) {
   EXPECT_LE(rj.solution_size(), rp.solution_size());
 }
 
+TEST(Baselines, Heuristic11ReportsItsSatWork) {
+  // The local search shrinks the bound solution (16 -> 9 switches here), so
+  // it probes, and every probe's solver counters must reach sat_totals.
+  const target_spec t = target_spec::parse(4, "abc + a'b'd + bc'd' + a'cd");
+  const janus_result r = run_heuristic11(t, fast_options());
+  ASSERT_TRUE(r.solution.has_value());
+  EXPECT_TRUE(r.solution->realizes(t.function()));
+  EXPECT_FALSE(r.probes.empty());
+  EXPECT_GT(r.sat_totals.propagations, 0u);
+}
+
 TEST(Baselines, PcircuitHandlesConstantCofactors) {
   // f = a — cofactor on the split variable is constant 1 / constant 0.
   const target_spec t = target_spec::parse(3, "a");

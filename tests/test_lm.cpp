@@ -96,7 +96,6 @@ TEST(LmSolver, EncodingStatisticsAreReported) {
   const lm_result r = solve_lm(t, cache.get({3, 3}), complete_options());
   EXPECT_GT(r.encoding.num_vars, 0u);
   EXPECT_GT(r.encoding.num_clauses, 0u);
-  EXPECT_GE(r.solve_seconds, 0.0);
 }
 
 TEST(LmSolver, TimeBudgetYieldsUnknown) {

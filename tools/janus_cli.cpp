@@ -20,8 +20,8 @@
 //   -j N, --jobs N worker threads (default 1: fully sequential). N >= 2
 //                  enables the dichotomic probe fan-out and batch sharding.
 //   --inprocess / --no-inprocess
-//                  SAT inprocessing (variable elimination, vivification,
-//                  probing; default: on). See docs/solver.md.
+//                  SAT inprocessing (variable elimination, vivification;
+//                  default: on). See docs/solver.md.
 //   --stats        print the aggregated SAT solver counters after the run
 //   --cache FILE   persist the NP-canonical solution cache: load FILE when it
 //                  exists, save it back after the run — repeated runs answer
@@ -133,11 +133,10 @@ void print_solver_stats(const janus::sat::solver_stats& s) {
       "solver: %llu conflicts, %llu decisions, %llu propagations, "
       "%llu restarts\n"
       "        %llu learned, %llu removed, %llu minimized lits\n"
-      "        inprocessing: %llu vars eliminated, %llu vivified, "
-      "%llu failed lits probed\n",
+      "        inprocessing: %llu vars eliminated, %llu vivified\n",
       u(s.conflicts), u(s.decisions), u(s.propagations), u(s.restarts),
       u(s.learned_clauses), u(s.removed_clauses), u(s.minimized_literals),
-      u(s.eliminated_vars), u(s.vivified), u(s.probed_failed_lits));
+      u(s.eliminated_vars), u(s.vivified));
 }
 
 /// The command's solution store: loads `--cache FILE` on construction when
