@@ -22,8 +22,8 @@
 // Output: a human summary on stderr and one JSON document on stdout; the
 // same JSON is also written to the path in argv[1] (default
 // BENCH_solver.json). JANUS_BENCH_FULL=1 widens the target set;
-// JANUS_BENCH_SMOKE=1 shrinks it to one fast BVE-heavy target (CI's
-// sanitizer smoke step).
+// JANUS_BENCH_SMOKE=1 shrinks it to one fast BVE-heavy target plus one
+// two-probe ladder (CI's sanitizer smoke step).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -46,9 +46,10 @@ struct bench_row {
 
 std::vector<bench_row> bench_rows() {
   if (std::getenv("JANUS_BENCH_SMOKE") != nullptr) {
-    // One fast target whose ladder reliably exercises the whole pipeline
-    // (bounded variable elimination included) in a sanitizer build.
-    return {{"ex5_06", {{4, 5}}}};
+    // A fast target whose ladder reliably exercises the whole pipeline
+    // (bounded variable elimination included) in a sanitizer build, and a
+    // two-probe ladder, so the session columns span more than one dims group.
+    return {{"ex5_06", {{4, 5}}}, {"misex1_01", {{3, 5}, {3, 4}}}};
   }
   std::vector<bench_row> rows = {
       {"b12_00", {{3, 4}, {4, 3}, {3, 5}, {5, 3}}},

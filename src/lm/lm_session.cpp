@@ -95,7 +95,8 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
                      << " slots)";
   }
 
-  // Activate this group, deactivate every other one. Deactivation satisfies
+  // Activate this group, deactivate every other undecided one (decided
+  // groups are retired below and need no assumption). Deactivation satisfies
   // the other groups' clauses through their guards up front instead of
   // leaving the solver to branch on them.
   std::vector<sat::lit> assumptions;
@@ -144,6 +145,16 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
     const auto& core = solver_.conflict_core();
     out.rule_free_unsat =
         std::find(core.begin(), core.end(), ~group.rules) == core.end();
+  }
+  if (out.verdict != sat::solve_result::unknown) {
+    // Decided: the probe memo never asks about this dims again, so retire
+    // the group. The units satisfy its clauses and every learnt clause
+    // derived through them (each carries the negated guard), and the next
+    // level-0 sweep deletes them all. An unknown verdict keeps the group so
+    // a re-probe resumes where this one stopped.
+    solver_.add_clause({~group.structure});
+    solver_.add_clause({~group.rules});
+    groups_.erase(key);
   }
   return out;
 }

@@ -17,8 +17,16 @@
 //     and the heuristic rule clauses of one dims, emitted with activation
 //     literals prepended (see lm_emitter::set_activation). A probe of dims d
 //     solves under assumptions {structure_d, rules_d} ∪ {¬structure_d',
-//     ¬rules_d' : d' ≠ d}, so exactly one geometry is active per call while
-//     the clause database — learned clauses included — persists.
+//     ¬rules_d' : d' undecided}, so exactly one geometry is active per call
+//     while the clause database — learned clauses over the core included —
+//     persists.
+//   * Retirement: a probe that ends sat or unsat retires its group with the
+//     units ¬structure_d and ¬rules_d, so the next level-0 sweep deletes the
+//     group's clauses and every learnt clause derived through them (each
+//     carries a negated guard). The probe memo never asks about a decided
+//     dims again; if a caller does, the dims is re-encoded as a fresh group.
+//     An unknown verdict keeps its group, so the assumption set is the
+//     active group plus the undecided ones.
 //
 // Verdict parity with the scratch path: under its assumptions the active
 // formula is exactly core ∧ group_d, which is equisatisfiable with the
@@ -43,8 +51,8 @@
 // under a lock — concurrent probes (the dichotomic fan-out) each lease
 // their own session, so jobs=1 gets perfect reuse and
 // jobs=N trades some sharing for parallelism. Cancellation is safe at every
-// point: an aborted solve() returns unknown, keeps all learned clauses, and
-// the session is immediately reusable.
+// point: an aborted solve() returns unknown, keeps all learned clauses and
+// its group, and the session is immediately reusable.
 #pragma once
 
 #include <map>
@@ -87,7 +95,8 @@ class lm_session {
     /// restriction is dims-independent and monotone, so the verdict is safe
     /// to propagate to dominated dimensions.
     bool rule_free_unsat = false;
-    bool reused_group = false;  ///< dims was already encoded in this session
+    /// dims had an undecided group in this session (an earlier unknown)
+    bool reused_group = false;
     /// Clauses newly added for this probe (0/0 when the group was reused).
     lm_encoding_stats encoding;
     /// Solver work attributable to this solve() call (stats delta).
@@ -95,8 +104,9 @@ class lm_session {
   };
 
   /// Probe one dims: extend the shared core to `info.d.size()` slots if
-  /// needed, encode the dims group on first sight, then solve under the
-  /// group's activation assumptions. `stop` aborts mid-solve (verdict
+  /// needed, encode the dims group unless an undecided one exists, solve
+  /// under the group's activation assumptions, and retire the group once
+  /// the verdict is sat or unsat. `stop` aborts mid-solve (verdict
   /// unknown); the session stays valid and reusable afterwards.
   [[nodiscard]] probe_result probe(const lattice_info& info, deadline budget,
                                    double sat_time_limit_s,
@@ -105,6 +115,7 @@ class lm_session {
 
   [[nodiscard]] bool dual_side() const { return dual_side_; }
   [[nodiscard]] const sat::solver& solver() const { return solver_; }
+  /// Groups still encoded: those whose last probe was unknown.
   [[nodiscard]] std::size_t num_groups() const { return groups_.size(); }
 
  private:

@@ -152,12 +152,7 @@ bool solver::add_clause(std::initializer_list<lit> lits) {
 }
 
 bool solver::add_clause(std::span<const lit> lits) {
-  // Trail saving keeps the previous call's assumption levels alive between
-  // solve() calls; adding a clause invalidates them, so drop back to level 0.
-  if (decision_level() > 0) {
-    cancel_until(0);
-    prev_assumptions_.clear();
-  }
+  JANUS_CHECK(decision_level() == 0);  // solve() always ends at level 0
   if (!ok_) {
     return false;
   }
@@ -946,23 +941,6 @@ solve_result solver::solve(std::span<const lit> assumptions) {
     status = solve_result::unsat;
   }
 
-  // Assumption-aware trail saving: the decision levels of the previous
-  // call's assumption prefix that this call shares are kept as-is, so their
-  // propagation work is not repaid. (Each assumption owns exactly one
-  // decision level — dummy levels included — hence level i <=> assumption
-  // i-1 and a prefix match directly bounds the backtrack target.)
-  if (status == solve_result::unknown) {
-    const int max_keep = std::min({static_cast<int>(assumptions_.size()),
-                                   static_cast<int>(prev_assumptions_.size()),
-                                   decision_level()});
-    int keep = 0;
-    while (keep < max_keep && assumptions_[keep] == prev_assumptions_[keep]) {
-      ++keep;
-    }
-    cancel_until(keep);
-    prev_assumptions_ = assumptions_;
-  }
-
   while (status == solve_result::unknown) {
     if (deadline_.expired()) {
       deadline_hit_ = true;
@@ -1002,12 +980,7 @@ solve_result solver::solve(std::span<const lit> assumptions) {
   if (status == solve_result::sat) {
     extend_model();
   }
-  if (ok_) {
-    cancel_until(assumption_root_level());
-  } else {
-    cancel_until(0);
-    prev_assumptions_.clear();
-  }
+  cancel_until(0);
   return status;
 }
 

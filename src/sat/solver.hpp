@@ -15,11 +15,10 @@
 //     later call on a related instance therefore starts from everything the
 //     earlier calls derived — this is the whole point of session reuse.
 //   * When add_clause()/add_cnf()/new_var() are legal: any time between
-//     solve() calls and before the first one. The solver keeps the trail of
-//     the previous call's assumption levels alive between calls (see trail
-//     saving below); add_clause() transparently backtracks to level 0 first,
-//     so callers never observe a level restriction. Never call it from
-//     inside a solve().
+//     solve() calls and before the first one. Every solve() call ends at
+//     decision level 0, so a clause added between calls needs no backtrack
+//     and the next call re-decides its assumptions from level 0. Never call
+//     it from inside a solve().
 //   * Assumption lifetime: the `assumptions` span is copied at the start of
 //     solve() and holds for that call only; the next call starts from a clean
 //     slate. After an unsat answer, conflict_core() names the subset of the
@@ -50,7 +49,6 @@
 //   * glucose-style LBD-EMA restarts,
 //   * tiered learned-clause management (core / tier2 / local by LBD, with
 //     usage-protected tier2 clauses),
-//   * assumption-aware trail saving between solve() calls,
 //   * top-level simplification (skipped when no new level-0 fact or
 //     original clause arrived since the last sweep) and arena garbage
 //     collection,
@@ -369,8 +367,8 @@ class solver {
   // --- search -------------------------------------------------------------
   [[nodiscard]] solve_result search();
   [[nodiscard]] bool budget_expired() const;
-  /// Backtrack target that keeps the assumption levels alive (restarts and
-  /// trail saving never need to go below it).
+  /// Backtrack target that keeps the assumption levels alive (the budget
+  /// and stop exits of search() unwind to it; solve() then ends at level 0).
   [[nodiscard]] int assumption_root_level() const {
     return std::min(decision_level(), static_cast<int>(assumptions_.size()));
   }
@@ -413,7 +411,6 @@ class solver {
   std::uint64_t lbd_stamp_ = 0;
 
   std::vector<lit> assumptions_;
-  std::vector<lit> prev_assumptions_;   // trail saving: last call's set
   std::vector<lit> conflict_core_;
   std::vector<lbool> model_;
 

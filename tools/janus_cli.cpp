@@ -566,8 +566,10 @@ int main(int argc, char** argv) {
       (arg == "-t" ? cfg.time_limit : cfg.sat_limit) = *seconds;
     } else if (arg == "-j" || arg == "--jobs") {
       const char* v = next();
-      if (v == nullptr) return usage();
-      cfg.jobs = std::max(1, janus::parse_count(v, 1, 4096).value_or(1));
+      const std::optional<int> jobs =
+          v == nullptr ? std::nullopt : janus::parse_count(v, 1, 4096);
+      if (!jobs.has_value()) return usage();
+      cfg.jobs = *jobs;
     } else if (arg == "--inprocess") {
       cfg.inprocess = true;
     } else if (arg == "--no-inprocess") {
@@ -605,8 +607,10 @@ int main(int argc, char** argv) {
       cfg.pla_path = v;
     } else if (arg == "-o") {
       const char* v = next();
-      if (v == nullptr) return usage();
-      cfg.pla_output = janus::parse_int(v, -1, 1 << 20).value_or(-1);
+      const std::optional<int> output =
+          v == nullptr ? std::nullopt : janus::parse_int(v, -1, 1 << 20);
+      if (!output.has_value()) return usage();
+      cfg.pla_output = *output;
     } else if (arg == "-q") {
       janus::set_log_level(janus::log_level::off);
     } else if (arg == "-v") {
