@@ -17,8 +17,10 @@
 //   * When add_clause()/add_cnf()/new_var() are legal: any time between
 //     solve() calls and before the first one. Every solve() call ends at
 //     decision level 0, so a clause added between calls needs no backtrack
-//     and the next call re-decides its assumptions from level 0. Never call
-//     it from inside a solve().
+//     and the next call re-decides its assumptions from level 0, even when
+//     no clause was added and the calls share an assumption prefix (the
+//     ESOP backend's ladder re-solves that way). Never call it from inside
+//     a solve().
 //   * Assumption lifetime: the `assumptions` span is copied at the start of
 //     solve() and holds for that call only; the next call starts from a clean
 //     slate. After an unsat answer, conflict_core() names the subset of the
@@ -151,7 +153,7 @@ class solver {
   /// Add a clause; returns false if the formula became trivially unsat.
   /// Legal before the first solve() and between solve() calls — the hook
   /// incremental sessions use to extend the formula with new guarded clause
-  /// groups mid-ladder. (The solver backtracks any saved trail itself.)
+  /// groups mid-ladder.
   bool add_clause(std::span<const lit> lits);
   bool add_clause(std::initializer_list<lit> lits);
 

@@ -211,13 +211,15 @@ TEST(SessionCancellation, CancelledProbeKeepsSessionUsable) {
   const auto cancelled = session.probe(cache.get({3, 3}), deadline::never(),
                                        60.0, -1, source.token());
   EXPECT_EQ(cancelled.verdict, sat::solve_result::unknown);
+  EXPECT_EQ(session.num_groups(), 1u);
 
-  // The session survives: the same dims group resolves on the next probe,
-  // and a different dims still works too.
+  // The session survives: the same dims group resolves on the next probe
+  // without encoding anything new, and a different dims still works too.
   const auto retried = session.probe(cache.get({3, 3}), deadline::never(),
                                      60.0, -1, exec::cancel_token{});
   EXPECT_EQ(retried.verdict, sat::solve_result::sat);
   EXPECT_TRUE(retried.reused_group);
+  EXPECT_EQ(retried.encoding.num_clauses, 0u);
   const auto other = session.probe(cache.get({2, 2}), deadline::never(),
                                    60.0, -1, exec::cancel_token{});
   EXPECT_EQ(other.verdict, sat::solve_result::sat);
