@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "bf/espresso.hpp"
@@ -37,7 +38,36 @@ std::optional<std::vector<cube>> all_primes(const truth_table& f,
   }
 
   // Quine–McCluskey: start from onset minterms, merge cubes that differ in
-  // exactly one variable's polarity, level by level.
+  // exactly one variable's polarity, level by level. The sets only fix the
+  // order (see the header), so none is reserved: that would change its
+  // bucket count and so the order. Membership is answered by two flags per
+  // cube, keyed by its base-3 code (digit v: 0 for x_v', 1 for x_v, 2 when
+  // v is absent). A cube's literal count fixes its level, so one table
+  // serves every level. It is dense up to 3^12 codes (531 KB), a hash map
+  // above.
+  constexpr std::uint8_t seen = 1;    // in some level's set
+  constexpr std::uint8_t merged = 2;  // has a partner, so not prime
+  const auto num_vars = static_cast<std::size_t>(n);
+  std::vector<std::uint64_t> pow3(num_vars + 1, 1);
+  for (std::size_t v = 0; v < num_vars; ++v) {
+    pow3[v + 1] = 3 * pow3[v];
+  }
+  std::vector<std::uint8_t> dense(num_vars <= 12 ? pow3[num_vars] : 0);
+  std::unordered_map<std::uint64_t, std::uint8_t> sparse;
+  const auto flags = [&](std::uint64_t code) -> std::uint8_t& {
+    return dense.empty() ? sparse[code] : dense[code];
+  };
+  const auto code_of = [&](const cube& c) {
+    std::uint64_t code = pow3[num_vars] - 1;  // every digit 2
+    for (std::uint32_t pos = c.pos_mask(); pos != 0; pos &= pos - 1) {
+      code -= pow3[static_cast<std::size_t>(std::countr_zero(pos))];
+    }
+    for (std::uint32_t neg = c.neg_mask(); neg != 0; neg &= neg - 1) {
+      code -= 2 * pow3[static_cast<std::size_t>(std::countr_zero(neg))];
+    }
+    return code;
+  };
+
   std::unordered_set<cube, cube_hash> current;
   for (std::uint64_t m = 0; m < f.num_minterms(); ++m) {
     if (!f.get(m)) {
@@ -48,6 +78,7 @@ std::optional<std::vector<cube>> all_primes(const truth_table& f,
       c.add_literal(v, ((m >> v) & 1) == 0);
     }
     current.insert(c);
+    flags(code_of(c)) |= seen;
   }
 
   while (!current.empty()) {
@@ -55,28 +86,35 @@ std::optional<std::vector<cube>> all_primes(const truth_table& f,
       return std::nullopt;
     }
     std::unordered_set<cube, cube_hash> next;
-    std::unordered_set<cube, cube_hash> merged;
     for (const cube& c : current) {
+      const std::uint64_t code = code_of(c);
       // The cube's variables in ascending order, as c.literals() lists
-      // them, without allocating a vector per cube.
+      // them, without allocating a vector per cube. A partner has the
+      // cube's literal count, so a seen partner is one of `current`.
       for (std::uint32_t vars = c.pos_mask() | c.neg_mask(); vars != 0;
            vars &= vars - 1) {
         const int v = std::countr_zero(vars);
-        cube partner = c;
-        partner.add_literal(v, !c.has_literal(v, /*negated=*/true));
-        if (current.count(partner) != 0) {
-          merged.insert(c);
-          cube wider = c;
-          wider.drop_variable(v);
-          next.insert(wider);
-          if (next.size() > max_primes) {
-            return std::nullopt;
-          }
+        const std::uint64_t step = pow3[static_cast<std::size_t>(v)];
+        const bool positive = c.has_literal(v, /*negated=*/false);
+        if ((flags(positive ? code - step : code + step) & seen) == 0) {
+          continue;
+        }
+        flags(code) |= merged;
+        std::uint8_t& wider_flags = flags(code + (positive ? 1 : 2) * step);
+        if ((wider_flags & seen) != 0) {
+          continue;
+        }
+        wider_flags |= seen;
+        cube wider = c;
+        wider.drop_variable(v);
+        next.insert(wider);
+        if (next.size() > max_primes) {
+          return std::nullopt;
         }
       }
     }
     for (const cube& c : current) {
-      if (merged.count(c) == 0) {
+      if ((flags(code_of(c)) & merged) == 0) {
         primes.push_back(c);
         if (primes.size() > max_primes) {
           return std::nullopt;
@@ -93,14 +131,12 @@ namespace {
 /// Branch-and-bound minimum unate covering.
 class covering_solver {
  public:
-  covering_solver(std::size_t num_rows, std::size_t num_cols,
-                  std::vector<std::vector<int>> row_to_cols,
+  covering_solver(std::vector<std::vector<int>> row_to_cols,
                   std::vector<std::vector<int>> col_to_rows,
                   std::uint64_t max_nodes)
       : row_cols_(std::move(row_to_cols)),
         col_rows_(std::move(col_to_rows)),
-        row_alive_(num_rows, true),
-        col_alive_(num_cols, true),
+        row_alive_(row_cols_.size(), true),
         max_nodes_(max_nodes) {}
 
   /// Minimum set of columns covering all rows, or nullopt when the node cap
@@ -155,20 +191,10 @@ class covering_solver {
     }
   }
 
-  [[nodiscard]] std::vector<int> alive_cols_of_row(int r) const {
-    std::vector<int> out;
-    for (const int c : row_cols_[static_cast<std::size_t>(r)]) {
-      if (col_alive_[static_cast<std::size_t>(c)]) {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
   /// Greedy lower bound: rows with pairwise-disjoint candidate columns each
   /// require a distinct column.
   [[nodiscard]] std::size_t lower_bound() const {
-    std::vector<bool> used_col(col_alive_.size(), false);
+    std::vector<bool> used_col(col_rows_.size(), false);
     std::size_t bound = 0;
     for (std::size_t r = 0; r < row_alive_.size(); ++r) {
       if (!row_alive_[r]) {
@@ -176,8 +202,7 @@ class covering_solver {
       }
       bool independent = true;
       for (const int c : row_cols_[r]) {
-        if (col_alive_[static_cast<std::size_t>(c)] &&
-            used_col[static_cast<std::size_t>(c)]) {
+        if (used_col[static_cast<std::size_t>(c)]) {
           independent = false;
           break;
         }
@@ -185,9 +210,7 @@ class covering_solver {
       if (independent) {
         ++bound;
         for (const int c : row_cols_[r]) {
-          if (col_alive_[static_cast<std::size_t>(c)]) {
-            used_col[static_cast<std::size_t>(c)] = true;
-          }
+          used_col[static_cast<std::size_t>(c)] = true;
         }
       }
     }
@@ -220,16 +243,16 @@ class covering_solver {
     if (chosen.size() >= best_size_) {
       return;
     }
-    // Find the uncovered row with the fewest alive columns.
+    // Find the uncovered row with the fewest columns.
     int pick_row = -1;
-    std::size_t pick_width = col_alive_.size() + 1;
+    std::size_t pick_width = col_rows_.size() + 1;
     for (std::size_t r = 0; r < row_alive_.size(); ++r) {
       if (!row_alive_[r]) {
         continue;
       }
-      const std::size_t width = alive_cols_of_row(static_cast<int>(r)).size();
+      const std::size_t width = row_cols_[r].size();
       if (width == 0) {
-        return;  // uncoverable under current column removals
+        return;  // uncoverable row (cannot happen for prime tables)
       }
       if (width < pick_width) {
         pick_width = width;
@@ -244,7 +267,7 @@ class covering_solver {
     if (chosen.size() + lower_bound() >= best_size_) {
       return;
     }
-    for (const int col : alive_cols_of_row(pick_row)) {
+    for (const int col : row_cols_[static_cast<std::size_t>(pick_row)]) {
       std::vector<int> killed;
       choose(col, chosen, killed);
       recurse(chosen);
@@ -258,7 +281,6 @@ class covering_solver {
   std::vector<std::vector<int>> row_cols_;
   std::vector<std::vector<int>> col_rows_;
   std::vector<bool> row_alive_;
-  std::vector<bool> col_alive_;
   std::vector<int> best_;
   std::size_t best_size_ = 0;
   std::uint64_t nodes_ = 0;
@@ -301,8 +323,8 @@ std::optional<cover> exact_minimize(const truth_table& f,
       }
     }
   }
-  covering_solver solver(minterms.size(), primes->size(), std::move(row_cols),
-                         std::move(col_rows), options.max_bb_nodes);
+  covering_solver solver(std::move(row_cols), std::move(col_rows),
+                         options.max_bb_nodes);
   const auto solution = solver.solve();
   if (!solution.has_value()) {
     return std::nullopt;

@@ -24,11 +24,28 @@ struct exact_min_options {
 };
 
 /// All prime implicants of `f`, or nullopt when the cap is exceeded.
+///
+/// The order of the list is part of the contract: exact_minimize breaks ties
+/// between minimum covers by it. Primes come out level by level (most
+/// literals first), each level in the iteration order of the
+/// std::unordered_set that Quine–McCluskey builds it in, every implicant
+/// inserted once, in generation order. That order is the standard library's
+/// (libstdc++ here), so a build against another library may list the primes
+/// differently and pick other tied covers.
 [[nodiscard]] std::optional<std::vector<cube>> all_primes(
     const truth_table& f, std::size_t max_primes = 200'000);
 
 /// A minimum-product irredundant prime cover of `f`, or nullopt when a work
-/// cap was exceeded. Ties are broken toward fewer literals.
+/// cap was exceeded, its cubes sorted by cover::sort_desc_by_literals.
+///
+/// Among tied minimum covers the choice follows the all_primes order; the
+/// literal count plays no part. A greedy pass (take the first column, in
+/// prime order, that covers the most uncovered minterms) seeds the
+/// incumbent. Branch and bound then replaces it only with a strictly smaller
+/// cover: it branches on the first uncovered minterm with the fewest primes
+/// and tries that minterm's primes in prime order. So the result is the
+/// greedy cover when that is minimum, else the first minimum cover in that
+/// depth-first order.
 [[nodiscard]] std::optional<cover> exact_minimize(
     const truth_table& f, const exact_min_options& options = {});
 

@@ -2,9 +2,9 @@
 // ISOP of its dual.
 //
 // JANUS consumes targets in exactly this shape (Section III-A of the paper):
-// espresso-minimized ISOPs of f and f^D drive the structural check, the
-// bounds, and the SAT encoding; the truth table drives the per-entry clauses
-// and final verification.
+// minimum-product ISOPs of f and f^D (bf::minimize) drive the structural
+// check, the bounds, and the SAT encoding; the truth table drives the
+// per-entry clauses and final verification.
 #pragma once
 
 #include <optional>

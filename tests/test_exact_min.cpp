@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <optional>
+#include <unordered_set>
 
 #include "bf/espresso.hpp"
 #include "bf/exact_min.hpp"
+#include "instances/table2.hpp"
 #include "util/rng.hpp"
 
 namespace janus::bf {
@@ -57,6 +61,84 @@ std::size_t brute_minimum_cover(const truth_table& f) {
   return p;
 }
 
+/// Reference: the hash-set Quine–McCluskey generator that all_primes
+/// replaced, verbatim. Its prime order is the one the covering solver's tie
+/// breaks were tuned against.
+struct cube_hash {
+  std::size_t operator()(const cube& c) const noexcept {
+    std::uint64_t h = (static_cast<std::uint64_t>(c.pos_mask()) << 32) |
+                      c.neg_mask();
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    return static_cast<std::size_t>(h);
+  }
+};
+
+std::optional<std::vector<cube>> reference_all_primes(
+    const truth_table& f, std::size_t max_primes = 200'000) {
+  const int n = f.num_vars();
+  std::vector<cube> primes;
+  if (f.is_zero()) {
+    return primes;
+  }
+  if (f.is_one()) {
+    primes.push_back(cube::one());
+    return primes;
+  }
+
+  // Quine–McCluskey: start from onset minterms, merge cubes that differ in
+  // exactly one variable's polarity, level by level.
+  std::unordered_set<cube, cube_hash> current;
+  for (std::uint64_t m = 0; m < f.num_minterms(); ++m) {
+    if (!f.get(m)) {
+      continue;
+    }
+    cube c;
+    for (int v = 0; v < n; ++v) {
+      c.add_literal(v, ((m >> v) & 1) == 0);
+    }
+    current.insert(c);
+  }
+
+  while (!current.empty()) {
+    if (current.size() > max_primes) {
+      return std::nullopt;
+    }
+    std::unordered_set<cube, cube_hash> next;
+    std::unordered_set<cube, cube_hash> merged;
+    for (const cube& c : current) {
+      // The cube's variables in ascending order, as c.literals() lists
+      // them, without allocating a vector per cube.
+      for (std::uint32_t vars = c.pos_mask() | c.neg_mask(); vars != 0;
+           vars &= vars - 1) {
+        const int v = std::countr_zero(vars);
+        cube partner = c;
+        partner.add_literal(v, !c.has_literal(v, /*negated=*/true));
+        if (current.count(partner) != 0) {
+          merged.insert(c);
+          cube wider = c;
+          wider.drop_variable(v);
+          next.insert(wider);
+          if (next.size() > max_primes) {
+            return std::nullopt;
+          }
+        }
+      }
+    }
+    for (const cube& c : current) {
+      if (merged.count(c) == 0) {
+        primes.push_back(c);
+        if (primes.size() > max_primes) {
+          return std::nullopt;
+        }
+      }
+    }
+    current = std::move(next);
+  }
+  return primes;
+}
+
 TEST(AllPrimes, ConstantFunctions) {
   const auto none = all_primes(truth_table(3));
   ASSERT_TRUE(none.has_value());
@@ -104,6 +186,41 @@ TEST(AllPrimes, EveryReturnedCubeIsPrimeAndAllPrimesAreFound) {
   }
 }
 
+TEST(AllPrimes, OrderMatchesReferenceGenerator) {
+  const auto same_order = [](const truth_table& f) {
+    const auto got = all_primes(f);
+    return got.has_value() && got == reference_all_primes(f);
+  };
+  rng r(55);
+  for (int n = 1; n <= 8; ++n) {
+    // 500 random tables over a spread of densities, each with its dual.
+    for (int iter = 0; iter < 500; ++iter) {
+      const truth_table f = random_table(r, n, (iter % 9 + 1) / 10.0);
+      ASSERT_TRUE(same_order(f)) << "n " << n << ", iter " << iter;
+      ASSERT_TRUE(same_order(f.dual())) << "n " << n << ", iter " << iter;
+    }
+    // Every symmetric function: f(m) depends only on the weight of m.
+    for (std::uint32_t weights = 0; weights < (1u << (n + 1)); ++weights) {
+      truth_table f(n);
+      for (std::uint64_t m = 0; m < f.num_minterms(); ++m) {
+        f.set(m, ((weights >> std::popcount(m)) & 1) != 0);
+      }
+      ASSERT_TRUE(same_order(f)) << "n " << n << ", weights " << weights;
+      ASSERT_TRUE(same_order(f.dual())) << "n " << n << ", weights " << weights;
+    }
+  }
+  // Past 3^12 codes the flags live in a hash map: a sparse 13-input table
+  // with some mergeable cubes next to isolated minterms.
+  truth_table sparse(13);
+  for (int i = 0; i < 60; ++i) {
+    sparse.set(r.next_below(sparse.num_minterms()), true);
+  }
+  for (const char* text : {"abcdefghij", "a'c'e'g'i'k'm'", "bdf'hjl'"}) {
+    sparse |= cover::parse(13, text).to_truth_table();
+  }
+  EXPECT_TRUE(same_order(sparse));
+}
+
 TEST(ExactMinimize, KnownMinimaForClassicFunctions) {
   // Not-all-equal(3): heuristic local minimum is 4 products; true minimum 3.
   const cover nae = cover::parse(3, "ab' + ac' + a'b + a'c");
@@ -139,6 +256,13 @@ TEST(ExactMinimize, MatchesBruteForceOnRandomSmallFunctions) {
     EXPECT_EQ(min->to_truth_table(), f);
     EXPECT_EQ(min->num_cubes(), brute_minimum_cover(f)) << "iter " << iter;
   }
+}
+
+TEST(ExactMinimize, TiedMinimumCoverFollowsPrimeOrder) {
+  // dc1_00 has tied 4-product minimum covers. The prime order picks this
+  // one; a sorted prime list would pick a'bc' + a'b'c + a'd' + ad instead.
+  const auto t = instances::make_table2_instance("dc1_00");
+  EXPECT_EQ(t.sop().str(), "a'bc' + b'cd + a'd' + ad");
 }
 
 TEST(ExactMinimize, NeverWorseThanEspresso) {
