@@ -5,24 +5,20 @@
 // ladder — the nontrivial dims of its default dichotomic search — is
 // replayed through solve_lm in all four configurations {scratch, session} x
 // {inprocess off, on}. The scratch columns are the one-shot solve_lm path
-// (fresh encoder + solver per probe, the only path that gets bounded
-// variable elimination); the session columns are what every ladder runs, so
-// the scratch_on vs session_on pair is the measured reason the one-shot
-// path is kept as a reference. Per row it
-// records wall seconds, conflicts, propagations and the two
-// simplification counters; every configuration must report the same
-// realization size (the bench exits non-zero otherwise — simplification is
-// a pure transformation, never an approximation).
+// (fresh encoder + solver per probe), kept as the parity reference; the
+// session columns are what every ladder runs. Per row it records wall
+// seconds, conflicts, propagations and the vivification counter; every
+// configuration must report the same realization size (the bench exits
+// non-zero otherwise — simplification is a pure transformation, never an
+// approximation).
 //
 // The headline number is the total wall speedup of inprocessing on over
-// off across all rows. Scratch rows carry the full reduction (bounded
-// variable elimination included); session rows freeze their interface, so
-// they isolate the vivification share.
+// off across all rows.
 //
 // Output: a human summary on stderr and one JSON document on stdout; the
 // same JSON is also written to the path in argv[1] (default
 // BENCH_solver.json). JANUS_BENCH_FULL=1 widens the target set;
-// JANUS_BENCH_SMOKE=1 shrinks it to one fast BVE-heavy target plus one
+// JANUS_BENCH_SMOKE=1 shrinks it to one fast target that vivifies plus one
 // two-probe ladder (CI's sanitizer smoke step).
 #include <cstdio>
 #include <cstdlib>
@@ -47,8 +43,8 @@ struct bench_row {
 std::vector<bench_row> bench_rows() {
   if (std::getenv("JANUS_BENCH_SMOKE") != nullptr) {
     // A fast target whose ladder reliably exercises the whole pipeline
-    // (bounded variable elimination included) in a sanitizer build, and a
-    // two-probe ladder, so the session columns span more than one dims group.
+    // (vivification included) in a sanitizer build, and a two-probe ladder,
+    // so the session columns span more than one dims group.
     return {{"ex5_06", {{4, 5}}}, {"misex1_01", {{3, 5}, {3, 4}}}};
   }
   std::vector<bench_row> rows = {
@@ -147,7 +143,7 @@ int main(int argc, char** argv) {
     results.push_back(std::move(per_config));
   }
 
-  const bool simplifier_fired = sat[1].eliminated_vars + sat[1].vivified > 0;
+  const bool simplifier_fired = sat[1].vivified > 0;
   const double wall_speedup = wall[1] > 0.0 ? wall[0] / wall[1] : 0.0;
   const auto ratio = [](std::uint64_t off, std::uint64_t on) {
     return off > 0 ? static_cast<double>(on) / static_cast<double>(off) : 1.0;
@@ -178,10 +174,9 @@ int main(int argc, char** argv) {
   for (int on = 0; on < 2; ++on) {
     emit("    \"inprocess_%s\": {\"wall_seconds\": %.3f, "
          "\"conflicts\": %llu, \"propagations\": %llu, "
-         "\"eliminated_vars\": %llu, \"vivified\": %llu},\n",
+         "\"vivified\": %llu},\n",
          on != 0 ? "on" : "off", wall[on], u(sat[on].conflicts),
-         u(sat[on].propagations), u(sat[on].eliminated_vars),
-         u(sat[on].vivified));
+         u(sat[on].propagations), u(sat[on].vivified));
   }
   emit("    \"conflict_ratio\": %.4f,\n",
        ratio(sat[0].conflicts, sat[1].conflicts));
@@ -200,11 +195,10 @@ int main(int argc, char** argv) {
     for (int cfg = 0; cfg < kConfigs; ++cfg) {
       const config_totals& t = results[i][cfg];
       emit("     \"%s\": {\"wall_seconds\": %.3f, \"conflicts\": %llu, "
-           "\"propagations\": %llu, \"eliminated_vars\": %llu, "
-           "\"vivified\": %llu}%s\n",
+           "\"propagations\": %llu, \"vivified\": %llu}%s\n",
            kConfigName[cfg], t.wall, u(t.sat.conflicts),
-           u(t.sat.propagations), u(t.sat.eliminated_vars),
-           u(t.sat.vivified), cfg + 1 < kConfigs ? "," : "}");
+           u(t.sat.propagations), u(t.sat.vivified),
+           cfg + 1 < kConfigs ? "," : "}");
     }
     emit("%s\n", i + 1 < rows.size() ? "    ," : "");
   }

@@ -19,8 +19,8 @@
 //     the parity of the t column to f(m).
 //   * The whole ladder runs on ONE incremental sat::solver (inprocessing
 //     on): the encoding is built once for the largest candidate term count,
-//     per-term activation selectors are frozen, and each probe is a
-//     solve-under-assumptions — learned clauses persist across the ladder,
+//     and each probe is a solve under assumptions over the per-term
+//     activation selectors — learned clauses persist across the ladder,
 //     the same session pattern the LM layer uses.
 //
 // The constructive upper bound — and the verified best-effort answer when

@@ -67,7 +67,6 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
     emitter.emit_rules();
 
     out.encoding = emitter.stats();
-    const int first_new_var = solver_.num_vars();
     out.encoding.num_vars =
         static_cast<std::uint64_t>(delta.num_vars() - solver_.num_vars());
     out.encoding.num_clauses = delta.num_clauses();
@@ -77,13 +76,6 @@ lm_session::probe_result lm_session::probe(const lattice_info& info,
       out.verdict = sat::solve_result::unsat;
       out.rule_free_unsat = true;
       return out;
-    }
-    // Frozen-variable protocol: every variable this probe introduced — slot
-    // mapping/value variables and the group's activation literals — may be
-    // referenced by later groups' clauses or used as an assumption, so the
-    // inprocessor must never eliminate it.
-    for (sat::var v = first_new_var; v < solver_.num_vars(); ++v) {
-      solver_.freeze(v);
     }
     groups_.emplace(key, group);
 

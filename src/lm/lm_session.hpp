@@ -69,11 +69,8 @@
 
 namespace janus::lm {
 
-/// Solver configuration for LM instances: inprocessing on. One-shot solves
-/// freeze nothing and get the full reduction (bounded variable elimination
-/// included); sessions freeze every interface variable, so they keep the
-/// vivification rounds but skip elimination — the split docs/solver.md
-/// describes.
+/// Solver configuration for LM instances: inprocessing on, for one-shot
+/// solves and sessions alike (docs/solver.md describes the rounds).
 [[nodiscard]] inline sat::solver_options default_lm_solver_options() {
   sat::solver_options o;
   o.inprocess = true;

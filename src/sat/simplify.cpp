@@ -1,7 +1,6 @@
 #include "sat/simplify.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace janus::sat {
 
@@ -11,10 +10,8 @@ inline bool is_false(lbool v) { return v == lbool::false_value; }
 inline bool is_undef(lbool v) { return v == lbool::undef; }
 
 // Per-round work caps (docs/solver.md).
-constexpr std::size_t kBveOccurrenceLimit = 16;  // per-polarity occurrences
-constexpr std::size_t kBveResolventLimit = 24;   // literals of a kept resolvent
-constexpr std::size_t kVivifyPerRound = 96;      // learnt clauses vivified
-constexpr std::uint32_t kVivifySizeLimit = 48;   // longest clause vivified
+constexpr std::size_t kVivifyPerRound = 96;     // learnt clauses vivified
+constexpr std::uint32_t kVivifySizeLimit = 48;  // longest clause vivified
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -78,12 +75,6 @@ void simplifier::cleanup_list(std::vector<solver::clause_ref>& list) {
   list.resize(j);
 }
 
-void simplifier::index_clause(solver::clause_ref c) {
-  for (const lit l : s_.clause_span(c)) {
-    occ_.add(l, c);
-  }
-}
-
 void simplifier::finish() {
   const auto purge = [this](std::vector<solver::clause_ref>& list) {
     std::size_t j = 0;
@@ -97,163 +88,6 @@ void simplifier::finish() {
   purge(s_.clauses_);
   purge(s_.learnts_);
   s_.garbage_collect_if_needed();
-}
-
-// --------------------------------------------------------------------------
-// Bounded variable elimination (preprocessing only)
-// --------------------------------------------------------------------------
-
-void simplifier::eliminate_variables() {
-  const int n = s_.num_vars();
-  std::vector<std::pair<std::uint32_t, var>> order;
-  order.reserve(static_cast<std::size_t>(n));
-  for (var v = 0; v < n; ++v) {
-    if (s_.is_frozen(v) || s_.is_eliminated(v) ||
-        !is_undef(s_.value(v))) {
-      continue;
-    }
-    const std::size_t cnt =
-        occ_[lit::make(v)].size() + occ_[lit::make(v, true)].size();
-    if (cnt == 0) {
-      continue;
-    }
-    order.push_back({static_cast<std::uint32_t>(cnt), v});
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [cnt, v] : order) {
-    if (!s_.ok_ || s_.stopped_externally()) {
-      return;
-    }
-    if (!is_undef(s_.value(v))) {
-      continue;  // an earlier elimination's resolvents fixed it
-    }
-    try_eliminate(v);
-  }
-  if (!s_.ok_) {
-    return;
-  }
-  // Learnt clauses over an eliminated variable are implied by the ORIGINAL
-  // formula, not necessarily by the reduced one (which leaves the variable
-  // unconstrained); keeping them would be unsound. Drop them.
-  for (const solver::clause_ref c : s_.learnts_) {
-    if (s_.clause_deleted(c)) {
-      continue;
-    }
-    const std::span<const lit> cl = s_.clause_span(c);
-    bool dead = false;
-    for (const lit l : cl) {
-      if (s_.eliminated_[static_cast<std::size_t>(l.variable())] != 0) {
-        dead = true;
-        break;
-      }
-    }
-    if (dead) {
-      s_.remove_clause(c);
-    }
-  }
-}
-
-void simplifier::gather(lit l, std::vector<solver::clause_ref>& out) {
-  out.clear();
-  for (const solver::clause_ref c : occ_[l]) {
-    if (!s_.clause_deleted(c)) {
-      out.push_back(c);
-    }
-  }
-}
-
-bool simplifier::resolve_pair(solver::clause_ref p, solver::clause_ref n,
-                              var v, std::vector<lit>& out) {
-  out.clear();
-  next_stamp();
-  for (const lit x : s_.clause_span(p)) {
-    if (x.variable() == v) {
-      continue;
-    }
-    stamp(x);
-    out.push_back(x);
-  }
-  for (const lit x : s_.clause_span(n)) {
-    if (x.variable() == v || stamped(x)) {
-      continue;
-    }
-    if (stamped(~x)) {
-      return false;  // tautological resolvent
-    }
-    stamp(x);
-    out.push_back(x);
-  }
-  return true;
-}
-
-void simplifier::try_eliminate(var v) {
-  const lit pl = lit::make(v);
-  gather(pl, pos_);
-  gather(~pl, neg_);
-  const std::size_t before = pos_.size() + neg_.size();
-  if (before == 0) {
-    return;
-  }
-  if (pos_.size() > kBveOccurrenceLimit || neg_.size() > kBveOccurrenceLimit) {
-    return;
-  }
-  // Longest clause being removed: elimination must never produce a clause
-  // longer than the ones it replaces. Longer clauses propagate later, and on
-  // the lattice encodings that measurably lengthens UNSAT proofs even when
-  // the clause *count* shrinks.
-  std::size_t max_parent_len = 0;
-  for (const auto* half : {&pos_, &neg_}) {
-    for (const solver::clause_ref c : *half) {
-      max_parent_len = std::max(max_parent_len,
-                                static_cast<std::size_t>(s_.clause_size(c)));
-    }
-  }
-  resolvents_.clear();
-  for (const solver::clause_ref p : pos_) {
-    for (const solver::clause_ref n : neg_) {
-      if (!resolve_pair(p, n, v, tmp_)) {
-        continue;
-      }
-      if (tmp_.size() > kBveResolventLimit || tmp_.size() > max_parent_len) {
-        return;  // resolvent longer than what it replaces: keep the variable
-      }
-      resolvents_.push_back(tmp_);
-      if (resolvents_.size() + 1 > before) {
-        return;  // elimination must strictly shrink the formula
-      }
-    }
-  }
-  // Commit: save the removed clauses for model reconstruction, then swap
-  // them for the resolvents.
-  auto& ev = s_.reconstruction_.emplace_back();
-  ev.v = v;
-  for (const auto* half : {&pos_, &neg_}) {
-    for (const solver::clause_ref c : *half) {
-      const std::span<const lit> cl = s_.clause_span(c);
-      ev.clause_sizes.push_back(static_cast<std::uint32_t>(cl.size()));
-      ev.clause_lits.insert(ev.clause_lits.end(), cl.begin(), cl.end());
-    }
-  }
-  for (const auto* half : {&pos_, &neg_}) {
-    for (const solver::clause_ref c : *half) {
-      s_.remove_clause(c);
-    }
-  }
-  s_.eliminated_[static_cast<std::size_t>(v)] = 1;
-  ++s_.stats_.eliminated_vars;
-  for (const auto& r : resolvents_) {
-    const std::size_t nc = s_.clauses_.size();
-    const std::size_t t0 = s_.trail_.size();
-    if (!s_.add_clause(r)) {
-      return;  // resolvents refuted the formula
-    }
-    if (s_.clauses_.size() > nc) {
-      index_clause(s_.clauses_.back());
-    }
-    if (s_.trail_.size() != t0) {
-      clear_level0_reasons();  // a unit resolvent propagated
-    }
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -354,21 +188,10 @@ void simplifier::vivify_learnts() {
 // Entry points
 // --------------------------------------------------------------------------
 
-void simplifier::preprocess() {
-  JANUS_CHECK(s_.decision_level() == 0);
-  lit_stamp_.assign(static_cast<std::size_t>(s_.num_vars()) * 2, 0);
-  if (!settle()) {
-    return;
+void simplifier::cleanup() {
+  if (settle()) {
+    finish();
   }
-  occ_.reset(s_.num_vars());
-  for (const solver::clause_ref c : s_.clauses_) {
-    index_clause(c);
-  }
-  eliminate_variables();
-  if (!s_.ok_) {
-    return;
-  }
-  finish();
 }
 
 void simplifier::inprocess() {

@@ -15,15 +15,15 @@ inline bool is_undef(lbool v) { return v == lbool::undef; }
 // Fixed search constants (MiniSat/glucose conventions; docs/solver.md).
 constexpr double kVarDecay = 0.95;
 constexpr double kClauseDecay = 0.999;
-/// Polarity of a never-assigned variable (and of a free eliminated one).
+/// Polarity of a never-assigned variable.
 constexpr bool kDefaultPhase = false;
 /// LBD boundary between the tier2 and local learnt tiers.
 constexpr std::uint32_t kTier2Lbd = 6;
-/// Conflicts before the one-time preprocessing pass (bounded variable
-/// elimination included), which is DEFERRED to the first restart boundary
-/// past this count rather than run up-front: a solve that finishes sooner
-/// is bit-identical to an inprocess=false run and pays zero simplification
-/// overhead, so only formulas that prove hard get simplified.
+/// Conflicts before the first (cleanup-only) inprocessing round, which is
+/// DEFERRED to the first restart boundary past this count rather than run
+/// up-front: a solve that finishes sooner is bit-identical to an
+/// inprocess=false run and pays zero simplification overhead, so only
+/// formulas that prove hard get simplified.
 constexpr std::uint64_t kPreprocessDelay = 300;
 }  // namespace
 
@@ -43,19 +43,10 @@ var solver::new_var() {
   seen_.push_back(0);
   lbd_seen_.push_back(0);
   heap_index_.push_back(-1);
-  frozen_.push_back(0);
-  eliminated_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
   heap_insert(v);
   return v;
-}
-
-void solver::freeze(var v) {
-  JANUS_CHECK_MSG(v >= 0 && v < num_vars(), "freeze of unallocated variable");
-  JANUS_CHECK_MSG(!is_eliminated(v),
-                  "variable was already eliminated; freeze it before solve()");
-  frozen_[static_cast<std::size_t>(v)] = 1;
 }
 
 void solver::decay_heuristics(bool rephase) {
@@ -161,9 +152,6 @@ bool solver::add_clause(std::span<const lit> lits) {
   for (const lit l : lits) {
     JANUS_CHECK_MSG(!l.is_undef() && l.variable() < num_vars(),
                     "literal over unallocated solver variable");
-    JANUS_CHECK_MSG(!is_eliminated(l.variable()),
-                    "clause over an eliminated variable; freeze interface "
-                    "variables before solve()");
     copy.push_back(l);
   }
   std::sort(copy.begin(), copy.end());
@@ -586,7 +574,7 @@ void solver::heap_sift_down(int i) {
 lit solver::pick_branch_lit() {
   while (!heap_.empty()) {
     const var v = heap_pop();
-    if (is_undef(value(v)) && !is_eliminated(v)) {
+    if (is_undef(value(v))) {
       return lit::make(v, saved_phase_[static_cast<std::size_t>(v)] == 0);
     }
   }
@@ -855,63 +843,16 @@ solve_result solver::search() {
   }
 }
 
-void solver::extend_model() {
-  // Replay the reconstruction stack newest-first: a clause saved when `v`
-  // was eliminated only mentions variables that were still live at that
-  // moment, and replaying in reverse chronological order restores those
-  // first, so every lookup below reads a final value.
-  const auto model_lit_true = [this](lit l) {
-    return apply_sign(model_[static_cast<std::size_t>(l.variable())],
-                      l.negated()) == lbool::true_value;
-  };
-  for (auto it = reconstruction_.rbegin(); it != reconstruction_.rend(); ++it) {
-    const auto vi = static_cast<std::size_t>(it->v);
-    // Pick the polarity that satisfies every clause the elimination removed
-    // (at most one polarity is forced when the resolvents are satisfied,
-    // which the model guarantees).
-    lbool forced = lbool::undef;
-    std::size_t pos = 0;
-    for (const std::uint32_t size : it->clause_sizes) {
-      bool satisfied = false;
-      lit mine = lit_undef;
-      for (std::uint32_t k = 0; k < size; ++k) {
-        const lit l = it->clause_lits[pos + k];
-        if (l.variable() == it->v) {
-          mine = l;
-          continue;
-        }
-        if (model_lit_true(l)) {
-          satisfied = true;
-          break;
-        }
-      }
-      pos += size;
-      if (!satisfied && !mine.is_undef()) {
-        forced = to_lbool(!mine.negated());
-      }
-    }
-    model_[vi] = forced == lbool::undef ? to_lbool(kDefaultPhase) : forced;
-  }
-}
-
 solve_result solver::solve(std::span<const lit> assumptions) {
   model_.clear();
   conflict_core_.clear();
   if (!ok_) {
     return solve_result::unsat;
   }
-  // Freeze assumption variables against elimination in this and future
-  // inprocessing rounds.
   assumptions_.assign(assumptions.begin(), assumptions.end());
   for (const lit a : assumptions_) {
     JANUS_CHECK_MSG(!a.is_undef() && a.variable() < num_vars(),
                     "assumption over unallocated variable");
-    JANUS_CHECK_MSG(!is_eliminated(a.variable()),
-                    "assumption over an eliminated variable; freeze interface "
-                    "variables before solve()");
-    if (options_.inprocess) {
-      freeze(a.variable());
-    }
   }
   deadline_hit_ = false;
   conflict_limit_abs_ =
@@ -927,13 +868,9 @@ solve_result solver::solve(std::span<const lit> assumptions) {
 
   solve_result status = solve_result::unknown;
 
-  // Deferred preprocessing: the one-time full reduction (bounded variable
-  // elimination included) runs at the first restart boundary past
-  // kPreprocessDelay conflicts, not here. Eliminating variables mid-search
-  // is sound because eliminate_variables() drops every learnt clause over an
-  // eliminated variable (implied by the original formula, not the reduced
-  // one) and assumption variables were frozen above.
-  if (options_.inprocess && !preprocessed_ && !inprocess_scheduled_) {
+  // Deferred inprocessing: the first round runs at the first restart
+  // boundary past kPreprocessDelay conflicts, not here.
+  if (options_.inprocess && !cleaned_up_ && !inprocess_scheduled_) {
     inprocess_scheduled_ = true;
     next_inprocess_ = stats_.conflicts + kPreprocessDelay;
   }
@@ -952,15 +889,11 @@ solve_result solver::solve(std::span<const lit> assumptions) {
     // schedule; they need a clean level-0 state.
     if (options_.inprocess && stats_.conflicts >= next_inprocess_) {
       cancel_until(0);
-      if (!preprocessed_) {
-        // First round on a formula that proved hard: the full preprocessing
-        // pass. Bounded variable elimination lives ONLY here — clauses added
-        // after this point may reference any unfrozen variable, so
-        // elimination cannot run again (sessions freeze their interface
-        // variables; scratch solves never add clauses after the first
-        // solve()).
-        preprocessed_ = true;
-        simplifier(*this).preprocess();
+      if (!cleaned_up_) {
+        // First round on a formula that proved hard: cleanup only;
+        // vivification starts with the second round.
+        cleaned_up_ = true;
+        simplifier(*this).cleanup();
       } else {
         simplifier(*this).inprocess();
       }
@@ -977,9 +910,6 @@ solve_result solver::solve(std::span<const lit> assumptions) {
     }
   }
 
-  if (status == solve_result::sat) {
-    extend_model();
-  }
   cancel_until(0);
   return status;
 }

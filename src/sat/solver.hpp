@@ -34,13 +34,9 @@
 //     solver permanently unsat (`okay()` turns false): the formula itself is
 //     contradictory and no later call can succeed. Assumption-relative unsat
 //     answers do NOT poison the solver.
-//   * Inprocessing (off by default, see solver_options::inprocess) adds one
-//     rule: a variable that must stay visible at the interface — future
-//     assumption literals, activation literals of guarded clause groups,
-//     variables referenced by clauses that will be added later — must be
-//     freeze()-d before the next solve() call. Frozen variables are exempt
-//     from elimination. Assumption variables of the current call are frozen
-//     automatically. See docs/solver.md.
+//   * Inprocessing (off by default, see solver_options::inprocess) adds no
+//     rule: its rounds never remove a variable, so any variable may appear
+//     in a later clause or assumption. See docs/solver.md.
 //
 // Implemented techniques:
 //   * two-literal watching with blocker literals; binary clauses propagate
@@ -55,8 +51,8 @@
 //     original clause arrived since the last sweep) and arena garbage
 //     collection,
 //   * solving under assumptions (with final-conflict extraction),
-//   * inprocessing (sat/simplify.hpp): preprocessing-time bounded variable
-//     elimination and learnt-clause vivification.
+//   * inprocessing (sat/simplify.hpp): level-0 cleanup rounds and
+//     learnt-clause vivification.
 #pragma once
 
 #include <algorithm>
@@ -83,9 +79,8 @@ struct solver_stats {
   std::uint64_t learned_clauses = 0;
   std::uint64_t removed_clauses = 0;
   std::uint64_t minimized_literals = 0;
-  // Inprocessing counters (sat/simplify.cpp).
-  std::uint64_t eliminated_vars = 0;  ///< variables removed by BVE
-  std::uint64_t vivified = 0;         ///< learned clauses shrunk by vivification
+  // Inprocessing counter (sat/simplify.cpp).
+  std::uint64_t vivified = 0;  ///< learned clauses shrunk by vivification
 };
 
 /// Accumulate counters across solver instances (per-probe and
@@ -98,7 +93,6 @@ inline solver_stats& operator+=(solver_stats& lhs, const solver_stats& rhs) {
   lhs.learned_clauses += rhs.learned_clauses;
   lhs.removed_clauses += rhs.removed_clauses;
   lhs.minimized_literals += rhs.minimized_literals;
-  lhs.eliminated_vars += rhs.eliminated_vars;
   lhs.vivified += rhs.vivified;
   return lhs;
 }
@@ -116,7 +110,6 @@ inline solver_stats operator-(const solver_stats& after,
   d.learned_clauses = after.learned_clauses - before.learned_clauses;
   d.removed_clauses = after.removed_clauses - before.removed_clauses;
   d.minimized_literals = after.minimized_literals - before.minimized_literals;
-  d.eliminated_vars = after.eliminated_vars - before.eliminated_vars;
   d.vivified = after.vivified - before.vivified;
   return d;
 }
@@ -128,9 +121,10 @@ struct solver_options {
   int reduce_base = 2000;          // first learned-DB reduction, in conflicts
   int reduce_increment = 300;      // growth per reduction
 
-  // Inprocessing (sat/simplify.hpp). Off by default: a bare solver must keep
-  // every variable addressable by later add_clause()/assumption use without a
-  // freeze protocol. The LM layer turns it on and freezes its interface vars.
+  // Inprocessing (sat/simplify.hpp). Off by default, so a bare solver runs
+  // the plain CDCL loop. The LM layer turns it on (default_lm_solver_options)
+  // and the ESOP and chain backends inherit the LM setting. It needs no
+  // caller protocol: no round removes a variable.
   bool inprocess = false;
   /// Conflicts between inprocessing rounds (0 = every restart boundary).
   int inprocess_interval = 4000;
@@ -161,26 +155,6 @@ class solver {
   /// add_clause(); clauses over already-existing variables compose with
   /// everything learned so far.
   bool add_cnf(const cnf& formula);
-
-  /// Frozen-variable protocol (only meaningful with inprocessing on, no-op
-  /// cost otherwise). A frozen variable is exempt from bounded variable
-  /// elimination, so it stays valid in later add_clause() calls, as a
-  /// future assumption, and in conflict_core() output. Incremental sessions
-  /// freeze their activation literals and every encoding variable that
-  /// future clause groups may reference; one-shot (scratch) solves freeze
-  /// nothing.
-  void freeze(var v);
-  void freeze(lit l) { freeze(l.variable()); }
-  [[nodiscard]] bool is_frozen(var v) const {
-    return frozen_[static_cast<std::size_t>(v)] != 0;
-  }
-  /// True if bounded variable elimination removed `v` from the formula.
-  /// Such a variable must not appear in later clauses or assumptions (freeze
-  /// it beforehand if it must stay addressable); model_value() still reports
-  /// a consistent value for it after sat, via model reconstruction.
-  [[nodiscard]] bool is_eliminated(var v) const {
-    return eliminated_[static_cast<std::size_t>(v)] != 0;
-  }
 
   /// Soften heuristic state between related solve() calls: scales every
   /// VSIDS activity down so the old ordering survives only as a tie-break
@@ -344,19 +318,6 @@ class solver {
     return activity_[static_cast<std::size_t>(a)] > activity_[static_cast<std::size_t>(b)];
   }
 
-  // --- inprocessing support ----------------------------------------------
-  /// Replay the reconstruction stack so model_ also assigns eliminated
-  /// variables consistently with the original formula.
-  void extend_model();
-
-  /// One entry per eliminated variable, in chronological order, carrying
-  /// the variable's removed clauses (flattened) for reconstruction.
-  struct reconstruction_event {
-    var v = var_undef;
-    std::vector<lit> clause_lits;
-    std::vector<std::uint32_t> clause_sizes;
-  };
-
   // --- clause DB management ----------------------------------------------
   void attach_clause(clause_ref c);
   void detach_clause(clause_ref c);
@@ -417,10 +378,7 @@ class solver {
   std::vector<lbool> model_;
 
   // Inprocessing state (see sat/simplify.cpp).
-  std::vector<std::uint8_t> frozen_;
-  std::vector<std::uint8_t> eliminated_;
-  std::vector<reconstruction_event> reconstruction_;
-  bool preprocessed_ = false;
+  bool cleaned_up_ = false;           ///< first (cleanup-only) round ran
   bool inprocess_scheduled_ = false;  ///< first round booked (see solve())
   std::uint64_t next_inprocess_ = 0;
 

@@ -160,7 +160,6 @@ std::string to_json(const sat::solver_stats& stats) {
       .field("learned_clauses", stats.learned_clauses)
       .field("removed_clauses", stats.removed_clauses)
       .field("minimized_literals", stats.minimized_literals)
-      .field("eliminated_vars", stats.eliminated_vars)
       .field("vivified", stats.vivified)
       .end_object();
   return w.str();

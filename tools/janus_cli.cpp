@@ -20,14 +20,14 @@
 //   -j N, --jobs N worker threads (default 1: fully sequential). N >= 2
 //                  enables the dichotomic probe fan-out and batch sharding.
 //   --inprocess / --no-inprocess
-//                  SAT inprocessing (variable elimination, vivification;
-//                  default: on). See docs/solver.md.
+//                  SAT inprocessing (level-0 cleanup, learnt-clause
+//                  vivification; default: on). See docs/solver.md.
 //   --stats        print the aggregated SAT solver counters after the run
 //   --cache FILE   persist the NP-canonical solution cache: load FILE when it
 //                  exists, save it back after the run — repeated runs answer
 //                  solved classes without resynthesis
 //   --no-cache     disable solution reuse entirely (also in-memory)
-//   -m exact|approx6|exact6|heur11|pc9 algorithm (default: JANUS)
+//   -m janus|exact6|approx6|heur11|pc9 algorithm (default: janus)
 //   --backend NAME|portfolio
 //                  route synth/batch through a registered synthesis backend
 //                  (janus, janus-mf, exact6, approx6, esop, chain), or race
@@ -35,9 +35,11 @@
 //                  docs/backends.md.
 //   -q / -v        quiet / verbose logging
 //
-// Durations must be finite decimals (no trailing junk); an unknown flag or a
-// malformed value exits 2 with the usage line. The full reference lives in
+// Durations must be finite decimals (no trailing junk); an unknown flag,
+// method or a malformed value (map dimensions included) exits 2 with the
+// usage line. The full reference lives in
 // docs/cli.md.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -73,6 +75,10 @@ janus::exec::cancel_source g_interrupt;
 /// Accepted range of the -t / -s budgets, in seconds.
 constexpr double kMinSeconds = 0.001;
 constexpr double kMaxSeconds = 1e7;
+
+/// The algorithms `-m` selects (run_method dispatches on these names).
+constexpr const char* kMethods[] = {"janus", "exact6", "approx6", "heur11",
+                                    "pc9"};
 
 struct cli_config {
   double time_limit = 60.0;
@@ -133,10 +139,10 @@ void print_solver_stats(const janus::sat::solver_stats& s) {
       "solver: %llu conflicts, %llu decisions, %llu propagations, "
       "%llu restarts\n"
       "        %llu learned, %llu removed, %llu minimized lits\n"
-      "        inprocessing: %llu vars eliminated, %llu vivified\n",
+      "        inprocessing: %llu vivified\n",
       u(s.conflicts), u(s.decisions), u(s.propagations), u(s.restarts),
       u(s.learned_clauses), u(s.removed_clauses), u(s.minimized_literals),
-      u(s.eliminated_vars), u(s.vivified));
+      u(s.vivified));
 }
 
 /// The command's solution store: loads `--cache FILE` on construction when
@@ -158,8 +164,15 @@ class cli_cache_scope {
   /// explicit save(). save_file is atomic (tmp + rename), so an interrupt
   /// landing mid-save can clip the tmp file but never the store itself.
   ~cli_cache_scope() {
-    if (!saved_) {
+    if (saved_) {
+      return;
+    }
+    // A destructor must not throw (it may run while a check_error unwinds):
+    // report a failed save instead.
+    try {
       save();
+    } catch (const janus::check_error& e) {
+      std::fprintf(stderr, "janus: %s\n", e.what());
     }
   }
 
@@ -169,8 +182,8 @@ class cli_cache_scope {
 
   void save() {
     if (cfg_.use_cache && !cfg_.cache_path.empty()) {
+      saved_ = true;  // set first: a failed save is not retried on unwind
       store_.save_file(cfg_.cache_path);
-      saved_ = true;
     }
   }
 
@@ -434,14 +447,22 @@ int cmd_map(const cli_config& cfg) {
     return usage();
   }
   const std::string& text = cfg.positional[0];
-  int rows = 0;
-  int cols = 0;
-  if (std::sscanf(cfg.positional[1].c_str(), "%dx%d", &rows, &cols) != 2 ||
-      rows < 1 || cols < 1) {
+  // Strict MxN: two counts and nothing else ("2x2junk" is rejected).
+  const std::string& spec = cfg.positional[1];
+  const std::size_t x = spec.find('x');
+  const std::optional<int> parsed_rows =
+      x == std::string::npos ? std::nullopt
+                             : janus::parse_count(spec.substr(0, x), 1, 1024);
+  const std::optional<int> parsed_cols =
+      x == std::string::npos ? std::nullopt
+                             : janus::parse_count(spec.substr(x + 1), 1, 1024);
+  if (!parsed_rows.has_value() || !parsed_cols.has_value()) {
     std::fprintf(stderr, "janus: bad dimensions '%s' (want MxN)\n",
-                 cfg.positional[1].c_str());
-    return 2;
+                 spec.c_str());
+    return usage();
   }
+  const int rows = *parsed_rows;
+  const int cols = *parsed_cols;
   const auto target = target_spec::parse(parse_vars(text), text, "f");
   janus::lm::lattice_info_cache cache;
   janus::lm::lm_options o;
@@ -588,6 +609,15 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage();
       cfg.method = v;
+      if (std::find(std::begin(kMethods), std::end(kMethods), cfg.method) ==
+          std::end(kMethods)) {
+        std::fprintf(stderr, "janus: unknown method '%s' (known:", v);
+        for (const char* name : kMethods) {
+          std::fprintf(stderr, " %s", name);
+        }
+        std::fprintf(stderr, ")\n");
+        return usage();
+      }
     } else if (arg == "--backend") {
       const char* v = next();
       if (v == nullptr) return usage();
