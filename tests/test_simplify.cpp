@@ -242,16 +242,18 @@ TEST(Simplify, RealEncoderInstancesAgreeWithBaselineSolver) {
 
 TEST(Simplify, ClausesOverAnyVariableCanBeAddedAfterInprocessing) {
   // A guarded pigeonhole (UNSAT under its guard g) drives the solver through
-  // inprocessing rounds; then clauses over any variable — the guard, the
-  // pigeonhole's own variables or a small random part — are added, and every
-  // answer is checked by brute force. With g true the pigeonhole refutes
-  // everything, so the whole formula is satisfiable iff the random part and
-  // the added clauses are with g false; `small` holds exactly those clauses
-  // over compact indices (0 is g), `to_solver` maps them back.
+  // inprocessing rounds; then assumptions and clauses over any variable — the
+  // guard, the pigeonhole's own variables or a small random part — follow,
+  // and every answer is checked by brute force. With g true the pigeonhole
+  // refutes everything, so the whole formula is satisfiable iff the random
+  // part and the added clauses are with g false; `small` holds exactly those
+  // clauses over compact indices (0 is g, 1..3 pigeonhole variables),
+  // `to_solver` maps them back.
   rng r(909);
   for (int iter = 0; iter < 12; ++iter) {
     cnf full;
     const var g = guarded_pigeonhole(full, 6);
+    const int hard_vars = full.num_vars();
     std::vector<var> to_solver = {g};
     while (to_solver.size() < 4) {
       const auto v = static_cast<var>(
@@ -312,12 +314,27 @@ TEST(Simplify, ClausesOverAnyVariableCanBeAddedAfterInprocessing) {
     ASSERT_GT(s.stats().vivified, 0u) << "iter " << iter;
 
     for (int round = 0; round < 8; ++round) {
-      // An assumption over any variable first, then a clause.
-      const lit a = lit::make(
+      // Assumptions first: g false and a random value for every pigeonhole
+      // variable (which then constrain only through `small`), plus one
+      // literal over any compact variable. An unsound learnt clause over the
+      // pigeonhole variables would refute some of these assignments.
+      std::vector<lit> assumptions = {lit::make(g, true)};
+      std::vector<lit> compact = {lit::make(0, true)};
+      for (var v = 1; v < hard_vars; ++v) {
+        const bool neg = r.next_bool();
+        assumptions.push_back(lit::make(v, neg));
+        for (var k = 1; k < 4; ++k) {
+          if (to_solver[static_cast<std::size_t>(k)] == v) {
+            compact.push_back(lit::make(k, neg));
+          }
+        }
+      }
+      compact.push_back(lit::make(
           static_cast<var>(r.next_below(static_cast<std::uint64_t>(n))),
-          r.next_bool());
-      const solve_result assumed = s.solve({{to_full({a})[0]}});
-      ASSERT_EQ(assumed == solve_result::sat, brute_force_sat(small, {a}))
+          r.next_bool()));
+      assumptions.push_back(to_full({compact.back()})[0]);
+      const solve_result assumed = s.solve(assumptions);
+      ASSERT_EQ(assumed == solve_result::sat, brute_force_sat(small, compact))
           << "iter " << iter << " round " << round;
       if (assumed == solve_result::sat) {
         ASSERT_TRUE(model_satisfies(s, full))
