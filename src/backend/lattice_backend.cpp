@@ -34,19 +34,14 @@ synth::janus_options engine_options(const backend_request& request) {
   return options;
 }
 
-/// Map an engine outcome onto the backend status contract. A cancelled run
-/// reports `cancelled` even when a best-effort solution rode along; a
-/// budget-starved run keeps its verified solution as a `timeout`
-/// best-effort answer.
-backend_status classify(const backend_request& request, bool hit_time_limit,
-                        bool has_solution) {
+/// Map an engine outcome onto the backend status contract. Every run returns
+/// a verified solution; a cancelled run reports `cancelled` and a
+/// budget-starved one keeps its solution as a `timeout` best-effort answer.
+backend_status classify(const backend_request& request, bool hit_time_limit) {
   if (request.exec.cancel.cancelled()) {
     return backend_status::cancelled;
   }
-  if (hit_time_limit) {
-    return backend_status::timeout;
-  }
-  return has_solution ? backend_status::solved : backend_status::timeout;
+  return hit_time_limit ? backend_status::timeout : backend_status::solved;
 }
 
 class janus_like_backend : public synth_backend {
@@ -59,29 +54,18 @@ class janus_like_backend : public synth_backend {
             reject_unsupported(name(), capabilities(), request.target)) {
       return *std::move(rejected);
     }
-    try {
-      synth::janus_synthesizer engine(configure(engine_options(request)));
-      const synth::janus_result run = engine.run(request.target);
-      result.lower_bound = run.lower_bound;
-      result.sat = run.sat_totals;
-      if (run.solution) {
-        result.realized =
-            std::make_shared<lattice_realization>(*run.solution);
-        JANUS_CHECK_MSG(result.realized->verify(request.target.function()),
-                        "lattice backend: solution failed the BFS oracle");
-        result.detail = run.ub_method + " " + run.solution_dims();
-      }
-      result.status = classify(request, run.hit_time_limit,
-                               run.solution.has_value());
-      // A converged run is optimal exactly when the engine is exact: the
-      // approximate flavors treat probe timeouts as UNSAT by design.
-      result.optimal = result.status == backend_status::solved && exact();
-    } catch (const synth::no_upper_bound_error& error) {
-      result.status = request.exec.cancel.cancelled()
-                          ? backend_status::cancelled
-                          : backend_status::timeout;
-      result.detail = error.what();
-    }
+    synth::janus_synthesizer engine(configure(engine_options(request)));
+    const synth::janus_result run = engine.run(request.target);
+    result.lower_bound = run.lower_bound;
+    result.sat = run.sat_totals;
+    result.realized = std::make_shared<lattice_realization>(*run.solution);
+    JANUS_CHECK_MSG(result.realized->verify(request.target.function()),
+                    "lattice backend: solution failed the BFS oracle");
+    result.detail = run.ub_method + " " + run.solution_dims();
+    result.status = classify(request, run.hit_time_limit);
+    // A converged run is optimal exactly when the engine is exact: the
+    // approximate flavors treat probe timeouts as UNSAT by design.
+    result.optimal = result.status == backend_status::solved && exact();
     result.seconds = timer.seconds();
     return result;
   }
@@ -145,20 +129,12 @@ class janus_mf_backend final : public synth_backend {
             reject_unsupported(name(), capabilities(), request.target)) {
       return *std::move(rejected);
     }
-    try {
-      const synth::janus_mf_result run =
-          synth::run_janus_mf({request.target}, engine_options(request));
-      result.realized =
-          std::make_shared<multi_lattice_realization>(run.improved);
-      JANUS_CHECK_MSG(result.realized->verify(request.target.function()),
-                      "janus-mf backend: merge failed the BFS oracle");
-      result.status = classify(request, run.hit_time_limit, true);
-    } catch (const synth::no_upper_bound_error& error) {
-      result.status = request.exec.cancel.cancelled()
-                          ? backend_status::cancelled
-                          : backend_status::timeout;
-      result.detail = error.what();
-    }
+    const synth::janus_mf_result run =
+        synth::run_janus_mf({request.target}, engine_options(request));
+    result.realized = std::make_shared<multi_lattice_realization>(run.improved);
+    JANUS_CHECK_MSG(result.realized->verify(request.target.function()),
+                    "janus-mf backend: merge failed the BFS oracle");
+    result.status = classify(request, run.hit_time_limit);
     result.seconds = timer.seconds();
     return result;
   }

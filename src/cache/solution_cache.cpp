@@ -164,7 +164,7 @@ constexpr const char* kHeader = "janus-solution-cache v1";
 }  // namespace
 
 np_canonical solution_cache::canonicalize(const truth_table& f) const {
-  return bf::np_canonicalize(f, exact_canon_max_vars_);
+  return bf::np_canonicalize(f, kExactCanonMaxVars);
 }
 
 std::optional<cached_solution> solution_cache::lookup(const truth_table& f) {

@@ -55,11 +55,10 @@ struct cached_solution {
 
 class solution_cache {
  public:
-  /// `exact_canon_max_vars` bounds the exhaustive canonicalization (see
-  /// np_canonicalize); it must match between runs sharing a persistent file,
-  /// so leave it at the default unless every user of the file agrees.
-  explicit solution_cache(int exact_canon_max_vars = 6)
-      : exact_canon_max_vars_(exact_canon_max_vars) {}
+  /// Input count up to which keys are exact NP-class minima (see
+  /// np_canonicalize). Keys depend on it, so every process sharing a
+  /// persistent file must use the same value: it is fixed here.
+  static constexpr int kExactCanonMaxVars = 6;
 
   /// Canonicalize `f` under this store's settings. A caller that will both
   /// look up and (on a miss) store the same function should canonicalize
@@ -109,7 +108,6 @@ class solution_cache {
     int lower_bound = 0;
   };
 
-  int exact_canon_max_vars_;
   /// Guards entries_ and stats_. Held only around map/counter operations —
   /// canonicalization, the inverse transform and the BFS-oracle re-check all
   /// run outside it. Sits at the solution_cache (outermost) level of the

@@ -354,9 +354,6 @@ void synthesis_service::run_job(queued_job job) {
             synth::synthesize_target(target, base, backends, job.dl, ctx);
         util::lock_guard lock(state_mutex_);
         account(outcome, report, counters_);
-      } catch (const synth::no_upper_bound_error&) {
-        // The budget ran out before any construction verified; an expected
-        // outcome under a tight deadline, not an internal failure.
       } catch (const std::exception& e) {
         // Invariant failure in the engine: surface it as a typed internal
         // error, keep the worker (and the daemon) alive.

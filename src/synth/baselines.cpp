@@ -18,9 +18,7 @@ janus_options exact6_options(const janus_options& base) {
   // Baselines converge to method-specific sizes; never share the
   // NP-canonical store with the JANUS pipeline.
   o.solutions = nullptr;
-  o.use_ips = false;
-  o.use_idps = false;
-  o.use_ds = false;
+  o.bound_set = upper_bounds::oub;
   o.lm.encode.use_degree_rules = false;
   o.lm.encode.strict_product_rules = false;
   o.lm.encode.tl_isop_literals_only = false;
@@ -30,9 +28,7 @@ janus_options exact6_options(const janus_options& base) {
 janus_options approx6_options(const janus_options& base) {
   janus_options o = base;
   o.solutions = nullptr;  // see exact6_options
-  o.use_ips = false;
-  o.use_idps = false;
-  o.use_ds = false;
+  o.bound_set = upper_bounds::oub;
   o.lm.encode.use_degree_rules = false;
   o.lm.encode.strict_product_rules = true;
   return o;
@@ -42,9 +38,7 @@ janus_result run_heuristic11(const target_spec& target,
                              const janus_options& base) {
   janus_options o = base;
   o.solutions = nullptr;  // see exact6_options
-  o.use_ips = false;
-  o.use_idps = false;
-  o.use_ds = false;
+  o.bound_set = upper_bounds::oub;
   janus_synthesizer engine(o);
   janus_result result;
   stopwatch clock;
@@ -119,7 +113,7 @@ janus_result run_pcircuit9(const target_spec& target,
 
   janus_options sub = base;
   sub.solutions = nullptr;  // see exact6_options
-  sub.use_ds = false;  // the decomposition itself plays that role
+  sub.bound_set = upper_bounds::no_ds;  // the decomposition plays DS's role
   sub.time_limit_s = base.time_limit_s * 0.45;
 
   if (target.is_constant() || target.num_vars() == 0) {

@@ -35,8 +35,7 @@ using target_result = std::variant<janus_result, portfolio_result>;
 /// Run one target at jobs=1 on `ctx` (the caller's pool, which the probe
 /// fan-out or the race nests on, and the caller's cancel token), with
 /// `base.time_limit_s` clipped to `dl`: the JANUS ladder when `backends` is
-/// empty, else run_portfolio over those backends under `dl`. Throws what the
-/// engine throws (no_upper_bound_error when no bound construction verified).
+/// empty, else run_portfolio over those backends under `dl`.
 [[nodiscard]] target_result synthesize_target(
     const lm::target_spec& target, const janus_options& base,
     const std::vector<std::string>& backends, deadline dl,

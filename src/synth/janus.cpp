@@ -86,30 +86,22 @@ janus_synthesizer::bounds_report janus_synthesizer::compute_bounds(
   lm::lm_options bound_lm = options_.lm;
   bound_lm.cancel = options_.exec.cancel;
   const auto cancelled = [&] { return options_.exec.cancel.cancelled(); };
-  if (options_.use_dp) {
-    consider(build_dp(target));
-  }
-  if (options_.use_ps) {
-    consider(build_ps(target));
-  }
-  if (options_.use_dps) {
-    consider(build_dps(target));
-  }
-  if (options_.use_ips && !cancelled()) {
+  consider(build_dp(target));
+  consider(build_ps(target));
+  consider(build_dps(target));
+  const upper_bounds set = options_.bound_set;
+  if (set != upper_bounds::oub && !cancelled()) {
     consider(build_ips(target, cache(), bound_lm, budget));
   }
-  if (options_.use_idps && !cancelled()) {
+  if (set != upper_bounds::oub && !cancelled()) {
     consider(build_idps(target, budget));
   }
-  if (options_.use_ds && !cancelled()) {
+  if (set == upper_bounds::all && !cancelled()) {
     consider(divide_and_synthesize(target, budget, 1));
   }
   const bound_solution* best = report.best();
   const int scan_limit = best != nullptr ? best->size() : 64;
-  report.lower_bound =
-      options_.use_structural_lb
-          ? lower_bound_structural(target, cache(), scan_limit)
-          : 1;
+  report.lower_bound = lower_bound_structural(target, cache(), scan_limit);
   return report;
 }
 
@@ -301,12 +293,6 @@ janus_result janus_synthesizer::run(const target_spec& target) {
 
   // Step 1: bounds.
   const bounds_report bounds = compute_bounds(target, budget);
-  const bound_solution* best_bound = bounds.best();
-  if (best_bound == nullptr) {
-    throw no_upper_bound_error("no upper-bound construction succeeded for " +
-                               (target.name().empty() ? "target"
-                                                      : target.name()));
-  }
   int oub = 0;
   for (const bound_solution& b : bounds.methods) {
     if (b.method == "DP" || b.method == "PS" || b.method == "DPS") {
@@ -315,7 +301,10 @@ janus_result janus_synthesizer::run(const target_spec& target) {
       }
     }
   }
-  result.old_upper_bound = oub == 0 ? best_bound->size() : oub;
+  // PS realizes every non-constant target whatever the budget.
+  JANUS_CHECK_MSG(oub > 0, "no DP, PS or DPS bound for a non-constant target");
+  const bound_solution* best_bound = bounds.best();
+  result.old_upper_bound = oub;
   result.new_upper_bound = best_bound->size();
   result.ub_method = best_bound->method;
   result.lower_bound = std::min(bounds.lower_bound, best_bound->size());
@@ -403,7 +392,8 @@ std::optional<bound_solution> janus_synthesizer::divide_and_synthesize(
 
   // Step 2: synthesize the sub-functions with JANUS itself.
   janus_options child_options = options_;
-  child_options.use_ds = depth > 1;
+  child_options.bound_set =
+      depth > 1 ? upper_bounds::all : upper_bounds::no_ds;
   // Share the path cache: the parent enumerates the same small grids (IPS,
   // structural LB, the ladder), and paths depend only on dims and max_paths.
   child_options.lattice_info = &cache();
@@ -414,13 +404,8 @@ std::optional<bound_solution> janus_synthesizer::divide_and_synthesize(
   const target_spec ht = target_spec::from_cover(
       h, target.name().empty() ? "" : target.name() + "_h");
   janus_synthesizer child(child_options);
-  const janus_result gr = child.run(gt);
-  const janus_result hr = child.run(ht);
-  if (!gr.solution.has_value() || !hr.solution.has_value()) {
-    return std::nullopt;
-  }
-  lattice_mapping part_g = *gr.solution;
-  lattice_mapping part_h = *hr.solution;
+  lattice_mapping part_g = *child.run(gt).solution;
+  lattice_mapping part_h = *child.run(ht).solution;
 
   lattice_mapping combined =
       concat_with_column(part_g, part_h, cell_assign::zero());

@@ -20,7 +20,6 @@
 #include "exec/exec.hpp"
 #include "lm/lm_solver.hpp"
 #include "synth/bounds.hpp"
-#include "util/check.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
@@ -29,6 +28,15 @@ class solution_cache;
 }  // namespace janus::cache
 
 namespace janus::synth {
+
+/// The upper-bound sets in use. DP, PS and DPS run in every set: they are
+/// SAT-free, ignore the budget, and PS realizes every non-constant target, so
+/// a non-constant target always has a verified bound.
+enum class upper_bounds {
+  oub,    ///< DP, PS, DPS only (Table II's "oub"): exact6, approx6, heur11
+  no_ds,  ///< plus IPS and IDPS: the pc9 sub-runs and the DS children
+  all,    ///< plus DS: JANUS
+};
 
 struct janus_options {
   lm::lm_options lm;                  ///< per-LM-call options (SAT limit etc.)
@@ -42,17 +50,8 @@ struct janus_options {
   int jobs = 1;
   exec::context exec;  ///< shared pool + external cancellation (optional)
 
-  // Upper-bound methods in play. JANUS uses all six; the exact/approx [6]
-  // baselines use only the first three ("oub" in Table II).
-  bool use_dp = true;
-  bool use_ps = true;
-  bool use_dps = true;
-  bool use_ips = true;
-  bool use_idps = true;
-  bool use_ds = true;
-
-  /// Structural-scan lower bound (Section III-B); otherwise lb = 1.
-  bool use_structural_lb = true;
+  /// Upper-bound constructions compute_bounds runs (see upper_bounds).
+  upper_bounds bound_set = upper_bounds::all;
 
   /// Optional shared lattice-info (path enumeration) cache. When set, this
   /// synthesizer probes through it instead of its own private cache, so
@@ -69,17 +68,6 @@ struct janus_options {
   /// targets of a batch, and — via the persistent layer — across processes.
   /// nullptr (the default) disables reuse entirely.
   cache::solution_cache* solutions = nullptr;
-};
-
-/// Thrown by janus_synthesizer::run when no upper-bound construction
-/// produced a verified lattice (every method disabled, or a degenerate
-/// target under an exhausted budget). Distinct from plain check_error so
-/// multi-output drivers can degrade gracefully on exactly this condition
-/// without swallowing genuine invariant failures (unverified solutions,
-/// cache-oracle rejections).
-class no_upper_bound_error : public check_error {
- public:
-  using check_error::check_error;
 };
 
 /// One dichotomic-search probe, for reporting.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "util/log.hpp"
-
 namespace janus::synth {
 
 using lattice::cell_assign;
@@ -42,49 +40,13 @@ janus_mf_result run_janus_mf(const std::vector<target_spec>& targets,
     per_output.time_limit_s =
         std::max(kMinOutputBudget, part1_deadline.remaining_seconds() /
                                        static_cast<double>(targets.size() - i));
-    std::optional<lattice_mapping> part;
-    bool starved = false;
-    try {
-      janus_synthesizer engine(per_output);
-      janus_result r = engine.run(t);
-      starved = r.hit_time_limit;
-      part = std::move(r.solution);
-    } catch (const no_upper_bound_error& e) {
-      // A starved run can fail outright (no bound construction finished in
-      // time); degrade to the constructive fallback below instead of
-      // aborting the whole multi-output run. Only this specific condition is
-      // absorbed — invariant failures (unverified solutions, cache-oracle
-      // rejections) stay loud.
-      JANUS_LOG(warn) << t.name() << ": part-1 JANUS failed (" << e.what()
-                      << "); falling back to constructive bounds";
-    }
-    if (!part.has_value()) {
-      // DP/PS/DPS are budget-independent constructions: this always yields a
-      // verified (if unoptimized) lattice for the merge — force them on even
-      // when the caller's options disabled them.
-      janus_options fallback = options;
-      fallback.lattice_info = &shared_info;
-      fallback.time_limit_s = kMinOutputBudget;
-      fallback.use_dp = true;
-      fallback.use_ps = true;
-      fallback.use_dps = true;
-      fallback.use_ips = false;
-      fallback.use_idps = false;
-      fallback.use_ds = false;
-      fallback.use_structural_lb = false;
-      fallback.solutions = nullptr;  // never cache a fallback as final
-      janus_synthesizer rescue(fallback);
-      janus_result r = rescue.run(t);
-      JANUS_CHECK_MSG(r.solution.has_value(),
-                      "constructive fallback produced no lattice");
-      starved = true;
-      part = std::move(r.solution);
-    }
-    if (starved) {
+    janus_synthesizer engine(per_output);
+    janus_result r = engine.run(t);
+    if (r.hit_time_limit) {
       result.output_time_limited[i] = true;
       result.hit_time_limit = true;
     }
-    parts.push_back(std::move(*part));
+    parts.push_back(std::move(*r.solution));
   }
   result.straightforward = multi_lattice_mapping::merge(parts);
   result.straightforward_seconds = total_clock.seconds();

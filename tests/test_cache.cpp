@@ -347,53 +347,7 @@ TEST(SolutionCache, MismatchedPrecomputedCanonicalIsRejected) {
                check_error);
 }
 
-TEST(Janus, AllBoundMethodsDisabledThrowsTypedError) {
-  synth::janus_options o;
-  o.use_dp = false;
-  o.use_ps = false;
-  o.use_dps = false;
-  o.use_ips = false;
-  o.use_idps = false;
-  o.use_ds = false;
-  synth::janus_synthesizer engine(o);
-  // The dedicated type lets JANUS-MF degrade on exactly this condition while
-  // other check_errors stay fatal.
-  EXPECT_THROW((void)engine.run(target_spec::parse(3, "ab + c")),
-               synth::no_upper_bound_error);
-}
-
 // --- regressions: starved JANUS-MF, malformed PLA ----------------------------
-
-TEST(JanusMfRegression, FailedPerOutputRunDegradesToConstructiveBounds) {
-  // With every upper-bound method disabled each per-output run() throws "no
-  // upper-bound construction succeeded" — the old MF aborted on the first
-  // output; now each such output degrades to the forced constructive
-  // fallback, is flagged, and the merge still verifies.
-  std::vector<target_spec> targets;
-  targets.push_back(target_spec::parse(4, "ab + c'd", "o0"));
-  targets.push_back(target_spec::parse(4, "a'c + bd", "o1"));
-  targets.push_back(target_spec::parse(4, "abd' + b'c", "o2"));
-  synth::janus_options o;
-  o.use_dp = false;
-  o.use_ps = false;
-  o.use_dps = false;
-  o.use_ips = false;
-  o.use_idps = false;
-  o.use_ds = false;
-  synth::janus_mf_result r;
-  ASSERT_NO_THROW(r = synth::run_janus_mf(targets, o));
-  std::vector<bf::truth_table> fns;
-  for (const auto& t : targets) {
-    fns.push_back(t.function());
-  }
-  EXPECT_TRUE(r.straightforward.realizes(fns));
-  EXPECT_TRUE(r.improved.realizes(fns));
-  EXPECT_TRUE(r.hit_time_limit);
-  ASSERT_EQ(r.output_time_limited.size(), targets.size());
-  for (const bool limited : r.output_time_limited) {
-    EXPECT_TRUE(limited);
-  }
-}
 
 TEST(JanusMfRegression, ZeroBudgetCompletesAndFlagsConsistently) {
   // time_limit 0 starves the Part-1 budget split; the floor still gives each

@@ -168,11 +168,12 @@ TEST(Janus, ProbesAreRecorded) {
 TEST(Baselines, OptionPresetsConfigureTheEncoders) {
   const janus_options base = fast_options();
   const janus_options exact = exact6_options(base);
-  EXPECT_FALSE(exact.use_ips);
+  EXPECT_EQ(exact.bound_set, upper_bounds::oub);
   EXPECT_FALSE(exact.lm.encode.use_degree_rules);
   EXPECT_FALSE(exact.lm.encode.strict_product_rules);
   const janus_options approx = approx6_options(base);
   EXPECT_TRUE(approx.lm.encode.strict_product_rules);
+  EXPECT_EQ(approx.bound_set, upper_bounds::oub);
 }
 
 TEST(Baselines, AllMethodsProduceVerifiedSolutions) {

@@ -83,26 +83,19 @@ TEST(JanusEdge, UnateFunctionsSynthesizeWithoutComplementedCells) {
 
 TEST(JanusOptions, DisablingBoundMethodsStillSolves) {
   janus_options o = fast_options();
-  o.use_ips = false;
-  o.use_idps = false;
-  o.use_ds = false;
-  o.use_dp = false;
-  o.use_dps = false;  // PS alone remains
+  o.bound_set = upper_bounds::oub;  // DP, PS and DPS only
   janus_synthesizer engine(o);
   const target_spec t = target_spec::parse(3, "ab + b'c");
+  const auto bounds = engine.compute_bounds(t, deadline::never());
+  for (const bound_solution& b : bounds.methods) {
+    EXPECT_TRUE(b.method == "DP" || b.method == "PS" || b.method == "DPS")
+        << b.method;
+  }
   const auto r = engine.run(t);
   ASSERT_TRUE(r.solution.has_value());
   EXPECT_TRUE(r.solution->realizes(t.function()));
-}
-
-TEST(JanusOptions, StructuralLbDisabledStartsAtOne) {
-  janus_options o = fast_options();
-  o.use_structural_lb = false;
-  janus_synthesizer engine(o);
-  const target_spec t = target_spec::parse(3, "ab + b'c");
-  const auto r = engine.run(t);
+  EXPECT_EQ(r.old_upper_bound, r.new_upper_bound);
   EXPECT_LE(r.lower_bound, r.solution_size());
-  EXPECT_TRUE(r.solution->realizes(t.function()));
 }
 
 TEST(JanusOptions, TimeLimitZeroStillReturnsTheBoundSolution) {

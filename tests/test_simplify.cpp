@@ -145,29 +145,72 @@ var guarded_pigeonhole(cnf& f, int holes) {
   return g;
 }
 
+/// Drives a fresh solver through inprocessing rounds, vivification
+/// included, before a test adds its formula over variables
+/// 0..formula_vars-1: the first round waits for 300 conflicts, which the
+/// formulas below never reach on their own. A guarded pigeonhole (6 holes)
+/// over the variables after those is refuted under its guard g. Fills `warm`
+/// with g false and one literal per pigeonhole variable, to be valued by
+/// redraw() and assumed in every later solve.
+void warm_up(solver& s, int formula_vars, std::vector<lit>& warm) {
+  cnf hard;
+  hard.new_vars(formula_vars);
+  const var g = guarded_pigeonhole(hard, 6);
+  ASSERT_TRUE(s.add_cnf(hard));
+  ASSERT_EQ(s.solve({{lit::make(g)}}), solve_result::unsat);
+  warm = {lit::make(g, true)};
+  for (var v = g + 1; v < static_cast<var>(hard.num_vars()); ++v) {
+    warm.push_back(lit::make(v));
+  }
+}
+
+/// Gives every pigeonhole variable in `warm` a value from `pick`. With g
+/// false any draw leaves the formula's answers unchanged, but an unsound
+/// learnt clause over the pigeonhole variables refutes some draws.
+void redraw(std::vector<lit>& warm, rng& pick) {
+  for (std::size_t i = 1; i < warm.size(); ++i) {
+    warm[i] = lit::make(warm[i].variable(), pick.next_bool());
+  }
+}
+
+/// Draws checked per warmed solver where a test makes one check.
+constexpr int kDraws = 8;
+
 // ---------------------------------------------------------------------------
 // Model preservation
 // ---------------------------------------------------------------------------
 
 TEST(Simplify, RandomCnfAgreesWithBruteForce) {
   rng r(4242);
+  rng pick(4243);
+  std::uint64_t vivified = 0;
   for (int iter = 0; iter < 400; ++iter) {
     const int nv = 4 + static_cast<int>(r.next_below(10));
     const cnf f = random_cnf(r, nv);
     solver s(inprocessing_options());
+    std::vector<lit> warm;
+    ASSERT_NO_FATAL_FAILURE(warm_up(s, nv, warm)) << "iter " << iter;
+    vivified += s.stats().vivified;
     s.add_cnf(f);
-    const solve_result res = s.solve();
     const bool expected = brute_force_sat(f);
-    ASSERT_EQ(res == solve_result::sat, expected) << "iter " << iter;
-    if (res == solve_result::sat) {
-      // The model must satisfy the ORIGINAL clauses.
-      ASSERT_TRUE(model_satisfies(s, f)) << "iter " << iter;
+    for (int draw = 0; draw < kDraws; ++draw) {
+      redraw(warm, pick);
+      const solve_result res = s.solve(warm);
+      ASSERT_EQ(res == solve_result::sat, expected)
+          << "iter " << iter << " draw " << draw;
+      if (res == solve_result::sat) {
+        // The model must satisfy the ORIGINAL clauses.
+        ASSERT_TRUE(model_satisfies(s, f)) << "iter " << iter;
+      }
     }
   }
+  EXPECT_GT(vivified, 0u);
 }
 
 TEST(Simplify, OnAndOffAgreeOnPlantedInstances) {
   rng r(77);
+  rng pick(78);
+  std::uint64_t vivified = 0;
   for (int iter = 0; iter < 10; ++iter) {
     const int nv = 80 + static_cast<int>(r.next_below(120));
     const int nc = static_cast<int>(static_cast<double>(nv) * 4.0);
@@ -195,10 +238,18 @@ TEST(Simplify, OnAndOffAgreeOnPlantedInstances) {
     solver_options o = inprocessing_options();
     o.reduce_base = 60;  // churn the learnt DB through vivification rounds
     solver s(o);
+    std::vector<lit> warm;
+    ASSERT_NO_FATAL_FAILURE(warm_up(s, nv, warm)) << "iter " << iter;
+    vivified += s.stats().vivified;
     s.add_cnf(f);
-    ASSERT_EQ(s.solve(), solve_result::sat) << "iter " << iter;
-    ASSERT_TRUE(model_satisfies(s, f)) << "iter " << iter;
+    for (int draw = 0; draw < kDraws; ++draw) {
+      redraw(warm, pick);
+      ASSERT_EQ(s.solve(warm), solve_result::sat)
+          << "iter " << iter << " draw " << draw;
+      ASSERT_TRUE(model_satisfies(s, f)) << "iter " << iter;
+    }
   }
+  EXPECT_GT(vivified, 0u);
 }
 
 TEST(Simplify, PigeonholeStaysUnsat) {
@@ -211,6 +262,8 @@ TEST(Simplify, PigeonholeStaysUnsat) {
 TEST(Simplify, RealEncoderInstancesAgreeWithBaselineSolver) {
   lm::lattice_info_cache cache;
   const lm::lm_encode_options eo;
+  rng pick(5);
+  std::uint64_t vivified = 0;
   for (const char* text : {"ab + c", "ab + b'c + ac'", "abc + a'b'"}) {
     const lm::target_spec t = lm::target_spec::parse(4, text);
     for (const lattice::dims d : {lattice::dims{2, 3}, lattice::dims{3, 3}}) {
@@ -221,19 +274,27 @@ TEST(Simplify, RealEncoderInstancesAgreeWithBaselineSolver) {
       const solve_result expected = baseline.solve();
 
       solver s(inprocessing_options());
+      std::vector<lit> warm;
+      ASSERT_NO_FATAL_FAILURE(warm_up(s, enc.formula().num_vars(), warm))
+          << text << " on " << d.str();
+      vivified += s.stats().vivified;
       s.add_cnf(enc.formula());
-      const solve_result got = s.solve();
-      ASSERT_EQ(got, expected) << text << " on " << d.str();
-      if (got == solve_result::sat) {
-        ASSERT_TRUE(model_satisfies(s, enc.formula()))
-            << text << " on " << d.str();
-        const auto mapping = enc.decode(s);
-        EXPECT_TRUE(mapping.realizes(t.function()))
-            << "decode failed for " << text
-            << " on " << d.str();
+      for (int draw = 0; draw < kDraws; ++draw) {
+        redraw(warm, pick);
+        const solve_result got = s.solve(warm);
+        ASSERT_EQ(got, expected) << text << " on " << d.str();
+        if (got == solve_result::sat) {
+          ASSERT_TRUE(model_satisfies(s, enc.formula()))
+              << text << " on " << d.str();
+          const auto mapping = enc.decode(s);
+          EXPECT_TRUE(mapping.realizes(t.function()))
+              << "decode failed for " << text
+              << " on " << d.str();
+        }
       }
     }
   }
+  EXPECT_GT(vivified, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,12 +423,18 @@ TEST(Simplify, ClausesOverAnyVariableCanBeAddedAfterInprocessing) {
 
 TEST(Simplify, RandomAssumptionSequencesStaySound) {
   rng r(31337);
+  rng pick(31338);
+  std::uint64_t vivified = 0;
   for (int iter = 0; iter < 120; ++iter) {
     const int nv = 5 + static_cast<int>(r.next_below(8));
     const cnf f = random_cnf(r, nv);
     solver s(inprocessing_options());
+    std::vector<lit> warm;
+    ASSERT_NO_FATAL_FAILURE(warm_up(s, nv, warm)) << "iter " << iter;
+    vivified += s.stats().vivified;
     s.add_cnf(f);
     for (int round = 0; round < 6; ++round) {
+      redraw(warm, pick);
       std::vector<lit> assumptions;
       const int count = static_cast<int>(r.next_below(4));
       for (int k = 0; k < count; ++k) {
@@ -375,8 +442,9 @@ TEST(Simplify, RandomAssumptionSequencesStaySound) {
             static_cast<var>(r.next_below(static_cast<std::uint64_t>(nv))),
             r.next_bool()));
       }
-      const solve_result res = s.solve(assumptions);
       const bool expected = brute_force_sat(f, assumptions);
+      assumptions.insert(assumptions.end(), warm.begin(), warm.end());
+      const solve_result res = s.solve(assumptions);
       ASSERT_EQ(res == solve_result::sat, expected)
           << "iter " << iter << " round " << round;
       if (res == solve_result::sat) {
@@ -399,6 +467,7 @@ TEST(Simplify, RandomAssumptionSequencesStaySound) {
       }
     }
   }
+  EXPECT_GT(vivified, 0u);
 }
 
 // ---------------------------------------------------------------------------

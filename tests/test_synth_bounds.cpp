@@ -2,6 +2,7 @@
 // lower bound — including the paper's exact Fig. 4 numbers.
 #include <gtest/gtest.h>
 
+#include "bf/exact_min.hpp"
 #include "synth/bounds.hpp"
 #include "synth/janus.hpp"
 #include "util/rng.hpp"
@@ -172,6 +173,81 @@ TEST(Bounds, DivideAndSynthesizeIgnoresWhichPathCacheItUses) {
   ASSERT_TRUE(shared_ds.has_value());
   EXPECT_EQ(own_ds->mapping, shared_ds->mapping);
   EXPECT_TRUE(shared_ds->mapping.realizes(t.function()));
+}
+
+// Every non-constant target has a verified upper bound whatever the budget:
+// PS realizes it, and DP, PS and DPS run in every bound set without reading
+// the budget. JANUS relies on this instead of handling an empty bound list,
+// so the sweep covers the targets the engine actually builds: random tables,
+// the two halves DS splits a cover into, and the product pairs IPS probes.
+std::vector<target_spec> derived_targets(const target_spec& t) {
+  std::vector<target_spec> out;
+  if (t.num_products() < 2) {
+    return out;
+  }
+  // DS: products sorted by literal count, dealt to balance literal totals.
+  bf::cover sorted = t.sop();
+  sorted.sort_desc_by_literals();
+  bf::cover g(t.num_vars());
+  bf::cover h(t.num_vars());
+  int g_lits = 0;
+  int h_lits = 0;
+  for (const bf::cube& p : sorted.cubes()) {
+    if (g_lits < h_lits ||
+        (g_lits == h_lits && g.num_cubes() <= h.num_cubes())) {
+      g.add(p);
+      g_lits += p.num_literals();
+    } else {
+      h.add(p);
+      h_lits += p.num_literals();
+    }
+  }
+  out.push_back(target_spec::from_cover(g));
+  out.push_back(target_spec::from_cover(h));
+  // IPS rule iii: the sum of two products, with its minimized dual.
+  bf::cover pair(t.num_vars());
+  pair.add(t.sop()[0]);
+  pair.add(t.sop()[1]);
+  const bf::truth_table pair_fn = pair.to_truth_table();
+  out.push_back(target_spec::from_function(pair_fn, "",
+                                           bf::minimize(pair_fn.dual())));
+  return out;
+}
+
+TEST(Bounds, EveryNonConstantTargetHasABoundInEveryBoundSet) {
+  constexpr int kTablesPerWidth = 500;
+  constexpr double kDensities[] = {0.15, 0.5, 0.85};
+  lm::lattice_info_cache shared;
+  janus_options options;
+  options.lattice_info = &shared;
+  // An expired budget: only the budget-independent constructions can answer.
+  const deadline spent = deadline::in_seconds(0.0);
+  rng r(91);
+  int checked = 0;
+  for (int n = 1; n <= 6; ++n) {
+    for (int i = 0; i < kTablesPerWidth; ++i) {
+      const target_spec t = target_spec::from_function(
+          random_function(r, n, kDensities[i % 3]));
+      std::vector<target_spec> targets = derived_targets(t);
+      targets.push_back(t);
+      for (const target_spec& target : targets) {
+        ASSERT_FALSE(target.is_constant());
+        const auto ps = build_ps(target);
+        ASSERT_TRUE(ps.has_value()) << target.sop().str();
+        EXPECT_TRUE(ps->mapping.realizes(target.function()));
+        for (const upper_bounds set :
+             {upper_bounds::oub, upper_bounds::no_ds, upper_bounds::all}) {
+          options.bound_set = set;
+          janus_synthesizer engine(options);
+          const auto bounds = engine.compute_bounds(target, spent);
+          ASSERT_NE(bounds.best(), nullptr) << target.sop().str();
+          EXPECT_TRUE(bounds.best()->mapping.realizes(target.function()));
+        }
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 6 * kTablesPerWidth);
 }
 
 TEST(Candidates, MaximalPairsOnly) {
