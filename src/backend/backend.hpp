@@ -78,7 +78,6 @@ struct backend_request {
   lm::target_spec target;
   deadline dl = deadline::never();  ///< per-target wall-clock budget
   exec::context exec;               ///< cancellation (+ optional shared pool)
-  int jobs = 1;                     ///< intra-backend parallelism hint
   synth::janus_options base;        ///< shared tuning and caches
 };
 

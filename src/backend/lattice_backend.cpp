@@ -27,7 +27,6 @@ namespace {
 /// through `exec`, and the shared caches ride along in `base`.
 synth::janus_options engine_options(const backend_request& request) {
   synth::janus_options options = request.base;
-  options.jobs = std::max(1, request.jobs);
   options.exec = request.exec;
   options.time_limit_s =
       std::min(options.time_limit_s, request.dl.remaining_seconds());

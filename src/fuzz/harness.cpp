@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "backend/backend.hpp"
@@ -16,6 +17,7 @@
 #include "service/json_value.hpp"
 #include "service/service.hpp"
 #include "synth/baselines.hpp"
+#include "synth/batch.hpp"
 #include "synth/janus.hpp"
 #include "synth/portfolio.hpp"
 #include "util/log.hpp"
@@ -62,10 +64,19 @@ bool ladder_exact(const synth::janus_result& r) {
   return true;
 }
 
+/// `jobs` > 1 runs the target as a one-target synthesize_batch at that
+/// width, whose pool the probe fan-out and the DS children share.
 synth::janus_result run_engine(const lm::target_spec& target,
-                               const synth::janus_options& options) {
-  synth::janus_synthesizer engine(options);
-  return engine.run(target);
+                               const synth::janus_options& options,
+                               int jobs = 1) {
+  if (jobs <= 1) {
+    return synth::janus_synthesizer(options).run(target);
+  }
+  synth::batch_options batch;
+  batch.base = options;
+  batch.jobs = jobs;
+  return std::move(
+      synth::synthesize_batch(std::span(&target, 1), batch).results.front());
 }
 
 /// Oracle check every configuration must pass regardless of agreement: the
@@ -95,20 +106,20 @@ std::string describe(const synth::janus_result& r) {
 
 /// Two-configuration equality axis (inprocessing, jobs): run both
 /// in a shuffled order — results must not depend on execution order — and
-/// demand bit-identical bounds and sizes.
+/// demand bit-identical bounds and sizes. `b_jobs` is b's width (run_engine).
 axis_outcome run_equality_axis(const lm::target_spec& target,
                                const bf::truth_table& f,
                                const synth::janus_options& a, const char* an,
                                const synth::janus_options& b, const char* bn,
-                               rng& shuffle) {
+                               rng& shuffle, int b_jobs = 1) {
   synth::janus_result ra;
   synth::janus_result rb;
   if (shuffle.next_bool()) {
-    rb = run_engine(target, b);
+    rb = run_engine(target, b, b_jobs);
     ra = run_engine(target, a);
   } else {
     ra = run_engine(target, a);
-    rb = run_engine(target, b);
+    rb = run_engine(target, b, b_jobs);
   }
   if (auto err = check_solution(ra, f, an)) {
     return axis_outcome::fail(*err);
@@ -208,11 +219,8 @@ axis_outcome axis_inprocess_on_off(rng& gen, rng& shuffle) {
 axis_outcome axis_jobs1_vs_jobsn(rng& gen, rng& shuffle, int jobs) {
   const bf::truth_table f = random_truth_table(gen, 1, 4);
   const lm::target_spec target = lm::target_spec::from_function(f, "fuzz");
-  synth::janus_options one = tiny_options();
-  one.jobs = 1;
-  synth::janus_options many = tiny_options();
-  many.jobs = jobs > 1 ? jobs : 4;
-  return run_equality_axis(target, f, one, "jobs1", many, "jobsN", shuffle);
+  return run_equality_axis(target, f, tiny_options(), "jobs1", tiny_options(),
+                           "jobsN", shuffle, jobs > 1 ? jobs : 4);
 }
 
 axis_outcome axis_cache_cold_warm(rng& gen, rng& /*shuffle*/) {

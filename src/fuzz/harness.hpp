@@ -16,8 +16,9 @@
 //                        would.
 //   inprocess_on_off     CDCL inprocessing on vs off: identical bounds and
 //                        sizes (simplification is never an approximation).
-//   jobs1_vs_jobsn       jobs=1 vs jobs=N: bit-identical results (the PR 1
-//                        determinism contract).
+//   jobs1_vs_jobsn       inline vs a one-target synthesize_batch on N
+//                        workers: bit-identical results (the determinism
+//                        contract).
 //   cache_cold_warm      cold ladder → store → warm lookup (in-memory and
 //                        through the persistent layer): the hit must be
 //                        flagged, size-identical, and re-verified against

@@ -132,9 +132,9 @@ struct service_options {
   /// Persistent solution store: loaded on construction when the file exists,
   /// saved atomically on drain. Empty = in-memory cache only.
   std::string cache_path;
-  /// Per-target engine configuration. `jobs`, `exec`, `solutions` and
+  /// Per-target engine configuration. `exec`, `solutions` and
   /// `lattice_info` are overridden per request (shared caches, per-request
-  /// cancellation); everything else applies as-is.
+  /// cancellation, no pool); everything else applies as-is.
   synth::janus_options base;
   /// Test hook: runs on the worker thread right after a synth job is
   /// dequeued — before the job is counted in-flight and before any

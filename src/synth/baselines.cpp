@@ -44,16 +44,6 @@ janus_result run_heuristic11(const target_spec& target,
   stopwatch clock;
   const deadline budget = deadline::in_seconds(o.time_limit_s);
 
-  if (target.is_constant()) {
-    lattice_mapping m(dims{1, 1}, target.num_vars());
-    m.set(0, 0, target.function().is_one() ? cell_assign::one()
-                                           : cell_assign::zero());
-    result.solution = std::move(m);
-    result.lower_bound = result.old_upper_bound = result.new_upper_bound = 1;
-    result.seconds = clock.seconds();
-    return result;
-  }
-
   const auto bounds = engine.compute_bounds(target, budget);
   const bound_solution* best_bound = bounds.best();
   JANUS_CHECK(best_bound != nullptr);
@@ -185,7 +175,11 @@ janus_result run_pcircuit9(const target_spec& target,
     return engine.run(target);
   }
   result.solution = std::move(*combined);
-  result.new_upper_bound = result.old_upper_bound = result.solution->size();
+  const int size = result.solution->size();
+  result.new_upper_bound = result.old_upper_bound = size;
+  lm::lattice_info_cache paths(base.max_paths);
+  result.lower_bound =
+      std::min(lower_bound_structural(target, paths, size), size);
   result.ub_method = "pcircuit";
   result.hit_time_limit = budget.expired();
   result.seconds = clock.seconds();

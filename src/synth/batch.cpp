@@ -14,7 +14,6 @@ target_result synthesize_target(const lm::target_spec& target,
                                 deadline dl, const exec::context& ctx) {
   janus_options per = base;
   per.time_limit_s = std::min(base.time_limit_s, dl.remaining_seconds());
-  per.jobs = 1;  // sharding decides; the caller's pool adds the rest
   per.exec = ctx;
   if (backends.empty()) {
     janus_result r = janus_synthesizer(per).run(target);

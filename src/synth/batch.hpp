@@ -32,7 +32,7 @@ namespace janus::synth {
 /// table when backends were requested.
 using target_result = std::variant<janus_result, portfolio_result>;
 
-/// Run one target at jobs=1 on `ctx` (the caller's pool, which the probe
+/// Run one target on `ctx` (the caller's pool, which the probe
 /// fan-out or the race nests on, and the caller's cancel token), with
 /// `base.time_limit_s` clipped to `dl`: the JANUS ladder when `backends` is
 /// empty, else run_portfolio over those backends under `dl`.
@@ -61,8 +61,8 @@ struct synthesis_counters {
 
 struct batch_options {
   /// Per-target options: `base.time_limit_s` is the per-target budget and
-  /// `base.exec.cancel` the caller's cancel token; jobs and exec.pool are
-  /// ignored.
+  /// `base.exec.cancel` the caller's cancel token; `base.exec.pool` is
+  /// ignored (the batch owns its pool).
   janus_options base;
 
   /// Non-empty: route every target through the backend portfolio (these

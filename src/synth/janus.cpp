@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 
 #include "cache/solution_cache.hpp"
 #include "util/log.hpp"
@@ -74,6 +73,16 @@ const bound_solution* janus_synthesizer::bounds_report::by_method(
 janus_synthesizer::bounds_report janus_synthesizer::compute_bounds(
     const target_spec& target, deadline budget) {
   bounds_report report;
+  // A constant needs one switch hard-wired to 0 or 1; DP, PS and DPS
+  // decline it, and the structural scan answers 1.
+  if (target.is_constant()) {
+    lattice_mapping m(dims{1, 1}, target.num_vars());
+    m.set(0, 0, target.function().is_one() ? cell_assign::one()
+                                           : cell_assign::zero());
+    report.methods.push_back({"const", std::move(m)});
+    report.lower_bound = 1;
+    return report;
+  }
   const auto consider = [&](std::optional<bound_solution> sol) {
     if (sol.has_value()) {
       JANUS_LOG(info) << target.name() << ": " << sol->method << " bound "
@@ -141,8 +150,7 @@ janus_synthesizer::probe_outcome janus_synthesizer::probe(
 
 std::optional<lattice_mapping> janus_synthesizer::probe_step(
     const target_spec& target, int mp, deadline budget,
-    exec::thread_pool* pool, lm::lm_session_pool& sessions,
-    std::vector<probe_record>& log) {
+    lm::lm_session_pool& sessions, std::vector<probe_record>& log) {
   const std::vector<dims> candidates = lattice_candidates(mp);
   const std::size_t n = candidates.size();
   std::vector<probe_outcome> outcomes(n);
@@ -159,71 +167,42 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
   // one-shot probe would return; going through probe() keeps the memo and
   // from_cache dedup semantics in one place, so a dims re-listed by a later
   // step is neither re-logged nor re-counted.
-  std::vector<std::uint8_t> pruned(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     if (sessions.known_unrealizable(candidates[i])) {
       outcomes[i] = probe(target, candidates[i], budget, lm_options);
       probed[i] = 1;
-      pruned[i] = 1;
     }
   }
 
-  // Fan out every candidate (inline, in rank order, without a pool); a SAT
-  // answer at rank i cancels only ranks > i (they cannot win selection), so
-  // every rank below the eventual winner always completes and the selection
-  // is deterministic. A task whose stop or budget fired before it started
-  // stays unprobed: inline, that is the scan that stops at the first
-  // realizable candidate.
-  std::vector<exec::cancel_source> stops;
-  stops.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    stops.emplace_back(options_.exec.cancel);
-  }
-  util::mutex step_mutex;
-  std::size_t best_rank = n;
-  exec::task_group group(pool);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pruned[i] != 0) {
-      continue;
-    }
-    group.run([&, i] {
-      lm::lm_options task_options = lm_options;
-      task_options.cancel = stops[i].token();
-      if (task_options.cancel.cancelled() || budget.expired()) {
-        return;
-      }
-      outcomes[i] = probe(target, candidates[i], budget, task_options);
-      probed[i] = 1;
-      if (outcomes[i].result.status == lm::lm_status::realizable) {
-        util::lock_guard lock(step_mutex);
-        if (i < best_rank) {
-          best_rank = i;
-          for (std::size_t j = i + 1; j < n; ++j) {
-            stops[j].request_cancel();
-          }
+  // A SAT answer at rank i cancels only ranks > i (see exec::race_ranked),
+  // so the selection is deterministic. A task whose stop or budget fired
+  // before it started stays unprobed: inline, that is the scan that stops at
+  // the first realizable candidate.
+  const std::size_t win = exec::race_ranked(
+      options_.exec, n, /*race=*/true,
+      [&](std::size_t i, const exec::cancel_token& stop) {
+        if (probed[i] != 0 || stop.cancelled() || budget.expired()) {
+          return false;  // pruned above, or cancelled before it started
         }
-      }
-    });
-  }
-  group.wait();
+        lm::lm_options task_options = lm_options;
+        task_options.cancel = stop;
+        outcomes[i] = probe(target, candidates[i], budget, task_options);
+        probed[i] = 1;
+        return outcomes[i].result.status == lm::lm_status::realizable;
+      });
 
   // Records appear in canonical order regardless of completion order.
-  std::optional<lattice_mapping> winner;
   for (std::size_t i = 0; i < n; ++i) {
-    if (probed[i] == 0) {
-      continue;
-    }
-    probe_outcome& o = outcomes[i];
-    if (!o.from_cache) {
-      log.push_back({candidates[i], o.result.status, o.seconds});
-    }
-    if (!winner.has_value() &&
-        o.result.status == lm::lm_status::realizable) {
-      JANUS_CHECK(o.result.mapping.has_value());
-      winner = std::move(*o.result.mapping);  // outcomes dies at return
+    if (probed[i] != 0 && !outcomes[i].from_cache) {
+      log.push_back({candidates[i], outcomes[i].result.status,
+                     outcomes[i].seconds});
     }
   }
-  return winner;
+  if (win == n) {
+    return std::nullopt;
+  }
+  JANUS_CHECK(outcomes[win].result.mapping.has_value());
+  return std::move(*outcomes[win].result.mapping);  // outcomes dies at return
 }
 
 janus_result janus_synthesizer::run(const target_spec& target) {
@@ -242,16 +221,13 @@ janus_result janus_synthesizer::run(const target_spec& target) {
   lm::lm_session_pool session_pool(target, options_.lm.encode,
                                    options_.lm.solver);
 
-  // Constant functions need a single switch hard-wired to 0 or 1.
+  // A constant takes compute_bounds' one 1x1 construction, before the
+  // solution cache, so the cache's hit and miss counters never see it.
   if (target.is_constant()) {
-    lattice_mapping m(dims{1, 1}, target.num_vars());
-    m.set(0, 0, target.function().is_one() ? cell_assign::one()
-                                           : cell_assign::zero());
-    result.solution = std::move(m);
-    result.lower_bound = 1;
-    result.old_upper_bound = 1;
-    result.new_upper_bound = 1;
-    result.ub_method = "const";
+    bounds_report bounds = compute_bounds(target, budget);
+    result.solution = std::move(bounds.methods.front().mapping);
+    result.lower_bound = result.old_upper_bound = result.new_upper_bound = 1;
+    result.ub_method = bounds.methods.front().method;
     result.seconds = total_clock.seconds();
     return result;
   }
@@ -278,17 +254,6 @@ janus_result janus_synthesizer::run(const target_spec& target) {
       result.seconds = total_clock.seconds();
       return result;
     }
-  }
-
-  // The probe fan-out pool: shared when the caller provided one (batch
-  // synthesis), created here for a standalone jobs=N run, absent for jobs=1
-  // (the fan-out then runs inline).
-  std::unique_ptr<exec::thread_pool> owned_pool;
-  exec::thread_pool* pool = options_.exec.pool;
-  if (pool == nullptr && options_.jobs > 1) {
-    owned_pool =
-        std::make_unique<exec::thread_pool>(static_cast<std::size_t>(options_.jobs));
-    pool = owned_pool.get();
   }
 
   // Step 1: bounds.
@@ -321,7 +286,7 @@ janus_result janus_synthesizer::run(const target_spec& target) {
     }
     const int mp = (lo + hi) / 2;
     std::optional<lattice_mapping> winner =
-        probe_step(target, mp, budget, pool, session_pool, result.probes);
+        probe_step(target, mp, budget, session_pool, result.probes);
     if (winner.has_value()) {
       best = std::move(*winner);
       hi = best.size();

@@ -43,12 +43,10 @@ struct janus_options {
   double time_limit_s = 6.0 * 3600.0; ///< overall budget (paper: 6h CPU)
   std::size_t max_paths = 200'000;    ///< per-lattice path cap
 
-  /// Worker threads for the dichotomic probe fan-out. 1 (the default) runs
-  /// the fan-out inline. When `exec.pool` is null and jobs > 1, run()
-  /// creates its own pool; batch synthesis instead shares one pool across
-  /// targets via `exec`.
-  int jobs = 1;
-  exec::context exec;  ///< shared pool + external cancellation (optional)
+  /// The caller's pool for the dichotomic probe fan-out (null = inline) and
+  /// external cancellation. DS children, JANUS-MF outputs and pc9 sub-runs
+  /// inherit it; the synthesizer never creates a pool of its own.
+  exec::context exec;
 
   /// Upper-bound constructions compute_bounds runs (see upper_bounds).
   upper_bounds bound_set = upper_bounds::all;
@@ -156,19 +154,15 @@ class janus_synthesizer {
   probe_outcome probe(const lm::target_spec& target, const lattice::dims& d,
                       deadline budget, const lm::lm_options& lm_options);
 
-  /// One dichotomic step: probe every lattice_candidates(mp) entry through
-  /// the run's `sessions` — concurrently when `pool` is non-null, inline in
-  /// rank order otherwise — and return the realization of the first
-  /// candidate (in canonical order) that is realizable. A SAT answer
-  /// cancels every candidate ranked after it, and a cancelled candidate that
-  /// has not started is never probed; lower-ranked probes always finish,
-  /// keeping the selected winner deterministic. Candidates
-  /// dominated by the UNSAT frontier are answered unrealizable up front
-  /// (logged with zero solve time) instead of probed.
+  /// One dichotomic step: race every lattice_candidates(mp) entry through
+  /// the run's `sessions` on `exec` (exec::race_ranked) and return the
+  /// realization of the first candidate (in canonical order) that is
+  /// realizable. A cancelled candidate that has not started is never
+  /// probed. Candidates dominated by the UNSAT frontier are answered
+  /// unrealizable up front (logged with zero solve time) instead of probed.
   std::optional<lattice::lattice_mapping> probe_step(
       const lm::target_spec& target, int mp, deadline budget,
-      exec::thread_pool* pool, lm::lm_session_pool& sessions,
-      std::vector<probe_record>& log);
+      lm::lm_session_pool& sessions, std::vector<probe_record>& log);
 
   janus_options options_;
   lm::lattice_info_cache cache_;

@@ -25,70 +25,39 @@ portfolio_result run_portfolio(const lm::target_spec& target,
                     "unknown backend: " + name);
   }
 
-  // The caller's pool when there is one (batch mode: backends nest on it);
-  // otherwise our own, one worker per backend, so a standalone racing call
-  // actually races. Sequential (no pool) still works: tasks run inline in
-  // priority order and a definitive finisher cancels everything behind it
-  // before it starts.
+  // A standalone race gets one worker per backend so that it races; with
+  // a caller pool the backends nest on it, and compare mode (no race, no
+  // pool) runs them inline in priority order.
   std::unique_ptr<exec::thread_pool> own_pool;
-  exec::thread_pool* pool = ctx.pool;
-  if (pool == nullptr && options.race && names.size() > 1) {
-    const std::size_t workers = options.jobs > 0
-                                    ? static_cast<std::size_t>(options.jobs)
-                                    : names.size();
-    own_pool = std::make_unique<exec::thread_pool>(workers);
-    pool = own_pool.get();
+  if (ctx.pool == nullptr && options.race && names.size() > 1) {
+    own_pool = std::make_unique<exec::thread_pool>(names.size());
+    ctx.pool = own_pool.get();
   }
-
-  std::vector<exec::cancel_source> sources;
-  sources.reserve(names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    sources.emplace_back(ctx.cancel);
-  }
-  {
-    exec::task_group group(pool);
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      group.run([&, i] {
+  const std::size_t winner = exec::race_ranked(
+      ctx, names.size(), options.race,
+      [&](std::size_t i, const exec::cancel_token& token) {
         backend::backend_result& entry = portfolio.entries[i];
-        const exec::cancel_token token = sources[i].token();
         if (token.cancelled()) {
           entry.backend = names[i];
           entry.status = backend::backend_status::cancelled;
           entry.detail = "cancelled before start";
-          return;
+          return false;
         }
-        std::unique_ptr<backend::synth_backend> engine =
-            backend::make_backend(names[i]);
         backend::backend_request request;
         request.target = target;
         request.dl = dl;
         request.exec = exec::context{nullptr, token};
-        request.jobs = 1;
         request.base = options.base;
-        entry = engine->run(request);
-        if (options.race && entry.definitive()) {
-          // Entries ranked after i can no longer win; those before it run
-          // on, so the winner never depends on completion order.
-          for (std::size_t j = i + 1; j < sources.size(); ++j) {
-            sources[j].request_cancel();
-          }
-        }
+        entry = backend::make_backend(names[i])->run(request);
         JANUS_LOG(debug) << "portfolio: " << names[i] << " -> "
                          << backend_status_name(entry.status) << " ("
                          << entry.cost() << " "
                          << (entry.realized ? entry.realized->cost_unit() : "")
                          << ")";
+        return entry.definitive();
       });
-    }
-    group.wait();
-  }
-
-  // The lowest-ranked definitive entry wins (the probe fan-out's rule).
-  for (std::size_t i = 0; i < portfolio.entries.size(); ++i) {
-    if (portfolio.entries[i].definitive()) {
-      portfolio.winner = static_cast<int>(i);
-      break;
-    }
+  if (winner < names.size()) {
+    portfolio.winner = static_cast<int>(winner);
   }
   portfolio.seconds = clock.seconds();
   return portfolio;

@@ -1,8 +1,9 @@
 // The portfolio: several synthesis backends racing on one target.
 //
-// Reuses the dichotomic probe fan-out's racing pattern: every requested
-// backend gets its own cancel_source linked under the caller's token and
-// fans out on the shared pool. A definitive answer (a converged, verified
+// Runs on the dichotomic probe fan-out's race, exec::race_ranked: every
+// requested backend gets its own cancel_source linked under the caller's
+// token and runs on the caller's pool, or, when there is none, on a pool of
+// one worker per backend. A definitive answer (a converged, verified
 // realization) at rank i cancels every backend ranked after i mid-solve —
 // they can no longer win — while the ones ranked before it run on.
 //
@@ -33,11 +34,6 @@ struct portfolio_options {
   /// Cancel siblings once one backend is definitive. Off = compare mode:
   /// all backends run to completion (no intra-target cancellation).
   bool race = true;
-
-  /// Racing pool width when the caller provides no pool; 0 = one worker
-  /// per backend. Ignored when `exec.pool` is already set (batch mode) —
-  /// then backends nest on the caller's pool.
-  int jobs = 0;
 };
 
 struct portfolio_result {

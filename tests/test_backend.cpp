@@ -317,10 +317,11 @@ TEST(portfolio, racing_winner_matches_compare_mode) {
   ASSERT_EQ(reference.winner, expected);
 
   synth::portfolio_options racing;
-  racing.jobs = 4;
   racing.base.lm.sat_time_limit_s = 60.0;
+  exec::thread_pool pool(4);
   for (int run = 0; run < 20; ++run) {
-    const synth::portfolio_result raced = synth::run_portfolio(target, racing);
+    const synth::portfolio_result raced = synth::run_portfolio(
+        target, racing, deadline::never(), exec::context{&pool, {}});
     EXPECT_EQ(raced.winner, expected) << "run " << run;
   }
 }
@@ -410,11 +411,11 @@ std::vector<target_spec> portfolio_slice() {
 }
 
 backend_result run_solo(const std::string& name, const target_spec& target,
-                        int jobs) {
+                        exec::thread_pool* pool = nullptr) {
   backend_request request;
   request.target = target;
   request.dl = deadline::in_seconds(kSliceBudgetS);
-  request.jobs = jobs;
+  request.exec.pool = pool;
   request.base.time_limit_s = kSliceBudgetS;
   request.base.lm.sat_time_limit_s = kSliceBudgetS;
   return backend::make_backend(name)->run(request);
@@ -434,7 +435,7 @@ TEST(portfolio_slice, solo_and_raced_results_are_sound) {
     const bf::truth_table f = target.function();
     std::map<std::string, backend_result> solo;
     for (const std::string& name : slice_backends()) {
-      backend_result run = run_solo(name, target, 1);
+      backend_result run = run_solo(name, target);
       // Every backend is sound: solved or a typed timeout, never `failed`
       // (stricter than "wins a race or is never failed").
       EXPECT_NE(run.status, backend_status::failed)
@@ -444,7 +445,8 @@ TEST(portfolio_slice, solo_and_raced_results_are_sound) {
       }
       if (run.status == backend_status::solved) {
         // Agreement is undefined mid-ladder, so only a solved rerun counts.
-        const backend_result rerun = run_solo(name, target, 4);
+        exec::thread_pool pool(4);
+        const backend_result rerun = run_solo(name, target, &pool);
         if (rerun.status == backend_status::solved) {
           EXPECT_EQ(rerun.cost(), run.cost()) << target.name() << " " << name;
         }
@@ -480,7 +482,7 @@ TEST(portfolio_wall, race_within_slowest_solo_ranked_up_to_winner) {
   for (const target_spec& target : portfolio_slice()) {
     std::vector<double> solo_wall;
     for (const std::string& name : slice_backends()) {
-      solo_wall.push_back(run_solo(name, target, 1).seconds);
+      solo_wall.push_back(run_solo(name, target).seconds);
     }
     const synth::portfolio_result race = run_race(target);
     const std::size_t ranked =

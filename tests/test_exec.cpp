@@ -1,10 +1,11 @@
 // Unit tests for the parallel execution engine: the thread pool, the
 // caller-helping task groups (including nesting on one pool, which must not
-// deadlock), and the linked cancellation tree.
+// deadlock), the linked cancellation tree and the ranked race.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -141,6 +142,105 @@ TEST(Context, WithCancelKeepsThePool) {
   EXPECT_EQ(recancelled.pool, &pool);
   source.request_cancel();
   EXPECT_TRUE(recancelled.cancel.cancelled());
+}
+
+/// Spin until `token` fires or five seconds pass; true when it fired.
+bool await_cancel(const cancel_token& token) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!token.cancelled()) {
+    if (std::chrono::steady_clock::now() > give_up) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(RaceRanked, LowestTrueRankWinsWhateverTheFinishOrder) {
+  // Rank 2 answers first, then rank 1, then rank 0 (which answers false):
+  // the winner is rank 1, not the first to finish.
+  thread_pool pool(3);
+  std::latch two_done(1);
+  std::latch one_done(1);
+  const std::size_t winner = race_ranked(
+      context{&pool, {}}, 3, /*race=*/true,
+      [&](std::size_t i, const cancel_token&) {
+        if (i == 2) {
+          two_done.count_down();
+          return true;
+        }
+        if (i == 1) {
+          two_done.wait();
+          one_done.count_down();
+          return true;
+        }
+        one_done.wait();
+        return false;
+      });
+  EXPECT_EQ(winner, 1u);
+}
+
+TEST(RaceRanked, WinnerCancelsOnlyLaterRanks) {
+  // Rank 1 wins at once. Rank 2 waits for the cancel that win sends; rank 0
+  // looks at its own token only after that cancel landed, and it is clean.
+  thread_pool pool(3);
+  std::latch two_cancelled(1);
+  std::atomic<bool> zero_cancelled{true};
+  std::atomic<bool> two_saw_cancel{false};
+  const std::size_t winner = race_ranked(
+      context{&pool, {}}, 3, /*race=*/true,
+      [&](std::size_t i, const cancel_token& token) {
+        if (i == 1) {
+          return true;
+        }
+        if (i == 2) {
+          two_saw_cancel = await_cancel(token);
+          two_cancelled.count_down();
+          return false;
+        }
+        two_cancelled.wait();
+        zero_cancelled = token.cancelled();
+        return false;
+      });
+  EXPECT_EQ(winner, 1u);
+  EXPECT_TRUE(two_saw_cancel.load());
+  EXPECT_FALSE(zero_cancelled.load());
+}
+
+TEST(RaceRanked, ParentCancelReachesEveryRank) {
+  thread_pool pool(2);
+  cancel_source parent;
+  std::atomic<int> saw_cancel{0};
+  const std::size_t winner = race_ranked(
+      context{&pool, parent.token()}, 4, /*race=*/true,
+      [&](std::size_t i, const cancel_token& token) {
+        if (i == 0) {
+          parent.request_cancel();
+        }
+        if (await_cancel(token)) {
+          ++saw_cancel;
+        }
+        return false;
+      });
+  EXPECT_EQ(winner, 4u);
+  EXPECT_EQ(saw_cancel.load(), 4);
+}
+
+TEST(RaceRanked, NullPoolRunsRanksInOrderAndCancelsAfterTheWin) {
+  for (const bool race : {true, false}) {
+    std::vector<std::size_t> order;
+    std::vector<bool> cancelled;
+    const std::size_t winner = race_ranked(
+        context{}, 4, race, [&](std::size_t i, const cancel_token& token) {
+          order.push_back(i);
+          cancelled.push_back(token.cancelled());
+          return i == 1 || i == 3;
+        });
+    EXPECT_EQ(winner, 1u);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+    // Without race a win cancels nothing (compare mode).
+    EXPECT_EQ(cancelled, (std::vector<bool>{false, false, race, race}));
+  }
 }
 
 }  // namespace

@@ -225,12 +225,18 @@ TEST(SessionCancellation, CancelledProbeKeepsSessionUsable) {
   EXPECT_EQ(other.verdict, sat::solve_result::sat);
 }
 
-synth::janus_options determinism_options(int jobs) {
+/// `pool` null = jobs=1; otherwise the caller-owned pool of the fan-out.
+synth::janus_options determinism_options(exec::thread_pool* pool) {
   synth::janus_options o;
   o.time_limit_s = 120.0;
   o.lm.sat_time_limit_s = 30.0;
-  o.jobs = jobs;
+  o.exec.pool = pool;
   return o;
+}
+
+/// Failure-message label: does `options` fan out on a pool or inline?
+const char* jobs_label(const synth::janus_options& options) {
+  return options.exec.pool != nullptr ? " (pool)" : " (inline)";
 }
 
 /// Run the session ladder and replay its definitive probes through fresh
@@ -241,16 +247,16 @@ synth::janus_result run_and_replay(const target_spec& t, const char* name,
                                    const synth::janus_options& replay) {
   synth::janus_synthesizer engine(options);
   synth::janus_result r = engine.run(t);
-  EXPECT_TRUE(r.solution.has_value()) << name << " jobs=" << options.jobs;
-  EXPECT_FALSE(r.hit_time_limit) << name << " jobs=" << options.jobs;
+  EXPECT_TRUE(r.solution.has_value()) << name << jobs_label(options);
+  EXPECT_FALSE(r.hit_time_limit) << name << jobs_label(options);
   if (r.solution.has_value()) {
     EXPECT_TRUE(r.solution->realizes(t.function()))
-        << name << " jobs=" << options.jobs;
+        << name << jobs_label(options);
   }
   const std::optional<std::string> mismatch =
       fuzz::replay_probes_one_shot(t, replay, r);
   EXPECT_FALSE(mismatch.has_value())
-      << name << " jobs=" << options.jobs << ": " << mismatch.value_or("");
+      << name << jobs_label(options) << ": " << mismatch.value_or("");
   return r;
 }
 
@@ -263,9 +269,10 @@ synth::janus_result run_and_replay(const target_spec& t, const char* name,
 TEST(SessionDeterminism, ReplayedProbesMatchOneShotAtJobs1AndJobs8) {
   for (const char* name : {"b12_03", "c17_01", "dc1_00", "dc1_02", "dc1_03"}) {
     const target_spec t = instances::make_table2_instance(name);
-    const synth::janus_options one = determinism_options(1);
+    const synth::janus_options one = determinism_options(nullptr);
     const synth::janus_result sequential = run_and_replay(t, name, one, one);
-    const synth::janus_options eight = determinism_options(8);
+    exec::thread_pool pool(8);
+    const synth::janus_options eight = determinism_options(&pool);
     const synth::janus_result parallel = run_and_replay(t, name, eight, eight);
     EXPECT_EQ(parallel.solution_size(), sequential.solution_size()) << name;
     EXPECT_EQ(parallel.lower_bound, sequential.lower_bound) << name;
@@ -282,10 +289,12 @@ TEST(SessionDeterminism, ReplayedProbesMatchOneShotAtJobs1AndJobs8) {
 TEST(SessionDeterminism, InprocessingKeepsEveryProbeAnswer) {
   for (const char* name : {"b12_03", "dc1_00", "dc1_03"}) {
     const target_spec t = instances::make_table2_instance(name);
-    synth::janus_options off = determinism_options(1);
+    synth::janus_options off = determinism_options(nullptr);
     off.lm.solver.inprocess = false;
-    for (const int jobs : {1, 8}) {
-      synth::janus_options on = determinism_options(jobs);
+    exec::thread_pool pool(8);
+    for (exec::thread_pool* fan_out :
+         {static_cast<exec::thread_pool*>(nullptr), &pool}) {
+      synth::janus_options on = determinism_options(fan_out);
       on.lm.solver.inprocess = true;
       (void)run_and_replay(t, name, on, off);
     }

@@ -3,7 +3,9 @@
 // sweeps on 4-variable functions.
 #include <gtest/gtest.h>
 
+#include "cache/solution_cache.hpp"
 #include "lm/reach_encoding.hpp"
+#include "synth/baselines.hpp"
 #include "synth/janus.hpp"
 #include "util/rng.hpp"
 
@@ -79,6 +81,48 @@ TEST(JanusEdge, UnateFunctionsSynthesizeWithoutComplementedCells) {
   ASSERT_TRUE(r.solution.has_value());
   EXPECT_TRUE(r.solution->realizes(t.function()));
   EXPECT_LE(r.solution_size(), 8);
+}
+
+TEST(JanusEdge, ConstantsTakeTheOneConstantConstruction) {
+  for (const bf::truth_table& f :
+       {bf::truth_table(3), bf::truth_table::ones(3)}) {
+    const target_spec t = target_spec::from_function(f);
+    cache::solution_cache store;
+    janus_options o = fast_options();
+    o.solutions = &store;
+    janus_synthesizer engine(o);
+
+    const auto bounds = engine.compute_bounds(t, deadline::never());
+    EXPECT_EQ(bounds.lower_bound, 1);
+    ASSERT_EQ(bounds.methods.size(), 1u);
+    EXPECT_EQ(bounds.methods[0].method, "const");
+    EXPECT_EQ(bounds.methods[0].mapping.grid(), (lattice::dims{1, 1}));
+    EXPECT_TRUE(bounds.methods[0].mapping.realizes(f));
+
+    const janus_result r = engine.run(t);
+    EXPECT_EQ(r.ub_method, "const");
+    EXPECT_EQ(r.solution_size(), 1);
+    EXPECT_EQ(r.lower_bound, 1);
+    // Constants return before the solution cache is consulted.
+    EXPECT_EQ(store.stats().hits, 0u);
+    EXPECT_EQ(store.stats().misses, 0u);
+
+    const janus_result h = run_heuristic11(t, fast_options());
+    EXPECT_EQ(h.ub_method, "const");
+    EXPECT_EQ(h.solution_size(), 1);
+    EXPECT_TRUE(h.solution->realizes(f));
+  }
+}
+
+TEST(Baselines, PcircuitReportsTheStructuralLowerBound) {
+  for (const char* expr : {"ab + b'c + ac'", "ab + cd", "abc + a'd"}) {
+    const target_spec t = target_spec::parse(4, expr);
+    const janus_result r = run_pcircuit9(t, fast_options());
+    ASSERT_TRUE(r.solution.has_value()) << expr;
+    EXPECT_TRUE(r.solution->realizes(t.function())) << expr;
+    EXPECT_GT(r.lower_bound, 0) << expr;
+    EXPECT_LE(r.lower_bound, r.solution_size()) << expr;
+  }
 }
 
 TEST(JanusOptions, DisablingBoundMethodsStillSolves) {

@@ -149,13 +149,12 @@ std::vector<target_spec> small_table2_targets() {
 
 TEST(ProbeFanOut, Jobs8MatchesJobs1OnTableIISmallInstances) {
   for (const target_spec& t : small_table2_targets()) {
-    synth::janus_options sequential = test_options();
-    sequential.jobs = 1;
-    synth::janus_synthesizer seq_engine(sequential);
+    synth::janus_synthesizer seq_engine(test_options());
     const synth::janus_result seq = seq_engine.run(t);
 
+    exec::thread_pool pool(8);
     synth::janus_options parallel = test_options();
-    parallel.jobs = 8;
+    parallel.exec.pool = &pool;
     synth::janus_synthesizer par_engine(parallel);
     const synth::janus_result par = par_engine.run(t);
 

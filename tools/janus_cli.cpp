@@ -18,7 +18,8 @@
 //   -t SECONDS     overall time limit (default 60)
 //   -s SECONDS     per-SAT-call limit (default 10)
 //   -j N, --jobs N worker threads (default 1: fully sequential). N >= 2
-//                  enables the dichotomic probe fan-out and batch sharding.
+//                  enables the dichotomic probe fan-out and batch sharding
+//                  on one pool of N workers.
 //   --inprocess / --no-inprocess
 //                  SAT inprocessing (level-0 cleanup, learnt-clause
 //                  vivification; default: on). See docs/solver.md.
@@ -51,7 +52,7 @@
 #include "backend/backend.hpp"
 #include "bf/pla.hpp"
 #include "cache/solution_cache.hpp"
-#include "exec/cancellation.hpp"
+#include "exec/exec.hpp"
 #include "service/signals.hpp"
 #include "synth/baselines.hpp"
 #include "synth/batch.hpp"
@@ -84,6 +85,10 @@ struct cli_config {
   double time_limit = 60.0;
   double sat_limit = 10.0;
   int jobs = 1;
+  /// synth/bounds: the one pool of `jobs` workers every engine of the
+  /// command shares (null at -j 1). batch owns its pool through
+  /// batch_options::jobs; compare runs its rows inline.
+  janus::exec::thread_pool* pool = nullptr;
   bool inprocess = true;
   bool show_stats = false;
   bool use_cache = true;       ///< in-memory NP-canonical solution reuse
@@ -126,8 +131,7 @@ janus::synth::janus_options make_options(const cli_config& cfg) {
   o.time_limit_s = cfg.time_limit;
   o.lm.sat_time_limit_s = cfg.sat_limit;
   o.lm.solver = make_solver_options(cfg);
-  o.jobs = cfg.jobs;
-  o.exec.cancel = g_interrupt.token();
+  o.exec = {cfg.pool, g_interrupt.token()};
   return o;
 }
 
@@ -297,11 +301,8 @@ int run_synth_backends(const cli_config& cfg,
     janus::synth::portfolio_options o;
     o.backends = backend_selection(cfg);
     o.base = make_options(cfg);
-    o.jobs = cfg.jobs;
-    janus::exec::context ctx;
-    ctx.cancel = g_interrupt.token();
     const auto p = janus::synth::run_portfolio(
-        target, o, janus::deadline::in_seconds(cfg.time_limit), ctx);
+        target, o, janus::deadline::in_seconds(cfg.time_limit), o.base.exec);
     std::printf("%s:\n", target.name().c_str());
     print_portfolio_table(p);
     const auto* win = p.winning();
@@ -530,10 +531,8 @@ int cmd_compare(const cli_config& cfg) {
     o.backends = backend_selection(cfg);
     o.base = make_options(cfg);
     o.race = false;  // the whole point: comparable, reproducible rows
-    janus::exec::context ctx;
-    ctx.cancel = g_interrupt.token();
     const auto p = janus::synth::run_portfolio(
-        target, o, janus::deadline::in_seconds(cfg.time_limit), ctx);
+        target, o, janus::deadline::in_seconds(cfg.time_limit), o.base.exec);
     std::printf("%s (%d vars):\n", target.name().c_str(), target.num_vars());
     print_portfolio_table(p);
     if (p.winner >= 0) {
@@ -651,6 +650,12 @@ int main(int argc, char** argv) {
     } else {
       cfg.positional.push_back(arg);
     }
+  }
+  std::unique_ptr<janus::exec::thread_pool> pool;
+  if (cfg.jobs > 1 && (command == "synth" || command == "bounds")) {
+    pool = std::make_unique<janus::exec::thread_pool>(
+        static_cast<std::size_t>(cfg.jobs));
+    cfg.pool = pool.get();
   }
   // First Ctrl-C cancels the in-flight synthesis cooperatively (the command
   // unwinds and cli_cache_scope persists the store); SA_RESETHAND means a
