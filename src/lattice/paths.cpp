@@ -172,19 +172,19 @@ bool enumerate_paths(const dims& d, connectivity conn,
   return e.run(visit);
 }
 
-std::optional<std::vector<path>> collect_paths(const dims& d, connectivity conn,
-                                               std::size_t max_paths) {
-  std::vector<path> out;
-  const bool completed = enumerate_paths(d, conn, [&](const path& p) {
-    if (out.size() >= max_paths) {
-      return false;
-    }
-    out.push_back(p);
+void path_list::push_back(path_cells cells) {
+  JANUS_CHECK_MSG(cells_.size() + cells.size() <= 0xffffffffu,
+                  "path list too large for 32-bit offsets");
+  cells_.insert(cells_.end(), cells.begin(), cells.end());
+  offsets_.push_back(static_cast<std::uint32_t>(cells_.size()));
+}
+
+path_list list_paths(const dims& d, connectivity conn) {
+  path_list out;
+  enumerate_paths(d, conn, [&](const path& p) {
+    out.push_back(p.cells);
     return true;
   });
-  if (!completed) {
-    return std::nullopt;
-  }
   return out;
 }
 

@@ -11,7 +11,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "lattice/dims.hpp"
@@ -31,15 +31,53 @@ struct path {
   [[nodiscard]] int length() const { return static_cast<int>(cells.size()); }
 };
 
+/// The cells of one path, in traversal order.
+using path_cells = std::span<const std::uint16_t>;
+
+/// A list of paths stored flat: the cells of every path in one array, plus
+/// one offset per path. Path i is cells [offsets[i], offsets[i + 1]).
+class path_list {
+ public:
+  void push_back(path_cells cells);
+
+  [[nodiscard]] std::size_t size() const { return offsets_.size() - 1; }
+  /// Cells of all paths together.
+  [[nodiscard]] std::size_t total_cells() const { return cells_.size(); }
+  [[nodiscard]] path_cells operator[](std::size_t i) const {
+    return path_cells(cells_).subspan(
+        offsets_[i], offsets_[i + 1] - offsets_[i]);
+  }
+
+  /// Iterates the paths as cell spans, in insertion order.
+  class iterator {
+   public:
+    iterator(const path_list* list, std::size_t i) : list_(list), i_(i) {}
+    path_cells operator*() const { return (*list_)[i_]; }
+    iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const path_list* list_;
+    std::size_t i_;
+  };
+  [[nodiscard]] iterator begin() const { return {this, 0}; }
+  [[nodiscard]] iterator end() const { return {this, size()}; }
+
+ private:
+  std::vector<std::uint16_t> cells_;
+  std::vector<std::uint32_t> offsets_{0};
+};
+
 /// Visit every irredundant path once. Return false from the visitor to abort
 /// enumeration early (enumerate_paths then returns false).
 bool enumerate_paths(const dims& d, connectivity conn,
                      const std::function<bool(const path&)>& visit);
 
-/// All irredundant paths, or std::nullopt when more than `max_paths` exist.
-[[nodiscard]] std::optional<std::vector<path>> collect_paths(
-    const dims& d, connectivity conn,
-    std::size_t max_paths = 2'000'000);
+/// All irredundant paths in enumeration order, stored flat.
+[[nodiscard]] path_list list_paths(const dims& d, connectivity conn);
 
 /// Number of irredundant paths (number of products of the lattice function
 /// for four_top_bottom, of its dual for eight_left_right).

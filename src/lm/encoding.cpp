@@ -7,6 +7,7 @@
 namespace janus::lm {
 
 using lattice::cell_assign;
+using lattice::path_cells;
 
 namespace {
 /// Products with more literals than this must be realized by a path longer
@@ -23,7 +24,7 @@ std::uint64_t estimate_encoding_clauses(const target_spec& target,
                                         const lm_encode_options& options) {
   const bf::truth_table& side_fn =
       dual_side ? target.dual_function() : target.function();
-  const auto& paths = dual_side ? info.paths_8lr : info.paths_4tb;
+  const path_family& paths = dual_side ? info.paths_8lr : info.paths_4tb;
   const std::uint64_t cells = static_cast<std::uint64_t>(info.d.size());
   const std::uint64_t entries = side_fn.num_minterms();
   const std::uint64_t on = side_fn.count_ones();
@@ -32,16 +33,12 @@ std::uint64_t estimate_encoding_clauses(const target_spec& target,
   const std::uint64_t tl =
       2 + 2 * static_cast<std::uint64_t>(target.num_vars());
 
-  std::uint64_t total_path_cells = 0;
-  for (const auto& p : paths) {
-    total_path_cells += static_cast<std::uint64_t>(p.cells.size());
-  }
   const std::uint64_t exactly_one = cells * (1 + tl * (tl - 1) / 2);
   const std::uint64_t link = cells * tl * entries;
   const std::uint64_t off_clauses = off * paths.size();
   // ON entries: one selector clause + per-path per-cell implications, plus
   // the helper facts (a few clauses per line).
-  std::uint64_t per_on = 1 + total_path_cells;
+  std::uint64_t per_on = 1 + paths.total_cells();
   if (options.use_helper_facts) {
     per_on += 4 * cells;
   }
@@ -121,7 +118,9 @@ lm_emitter::lm_emitter(const target_spec& target, const lattice_info* info,
   side_sop_ = dual_side_ ? &target_.dual_sop() : &target_.sop();
   if (info_ != nullptr) {
     JANUS_CHECK_MSG(!info_->oversized, "cannot encode an oversized lattice");
-    side_paths_ = dual_side_ ? &info_->paths_8lr : &info_->paths_4tb;
+    // The only place path cells are materialized, for this side alone.
+    side_paths_ =
+        &(dual_side_ ? info_->paths_8lr : info_->paths_4tb).cells();
   }
 }
 
@@ -168,10 +167,10 @@ void lm_emitter::emit_entry(std::size_t i) {
   if (!side_function_->get(layout_.entries[i])) {
     // Every irredundant path must be broken at this entry.
     std::vector<sat::lit> clause;
-    for (const lattice::path& p : *side_paths_) {
+    for (const path_cells p : *side_paths_) {
       clause.clear();
-      clause.reserve(p.cells.size());
-      for (const std::uint16_t cell : p.cells) {
+      clause.reserve(p.size());
+      for (const std::uint16_t cell : p) {
         clause.push_back(~layout_.val_lit(cell, i));
       }
       add(clause);
@@ -183,10 +182,10 @@ void lm_emitter::emit_entry(std::size_t i) {
   // ON entry: one selected path is fully on.
   std::vector<sat::lit> selectors;
   selectors.reserve(side_paths_->size());
-  for (const lattice::path& p : *side_paths_) {
+  for (const path_cells p : *side_paths_) {
     const sat::lit sel = sat::lit::make(out_.new_var());
     selectors.push_back(sel);
-    for (const std::uint16_t cell : p.cells) {
+    for (const std::uint16_t cell : p) {
       add({~sel, layout_.val_lit(cell, i)});
     }
   }
@@ -231,7 +230,7 @@ void lm_emitter::emit_entry(std::size_t i) {
 }
 
 void lm_emitter::add_realization_rule(
-    const bf::cube& p, const std::vector<const lattice::path*>& paths,
+    const bf::cube& p, const std::vector<path_cells>& paths,
     bool allow_one) {
   const std::uint64_t before = out_.num_clauses();
   // Which TL indices are literals of p (plus constant 1 when allowed)?
@@ -265,12 +264,12 @@ void lm_emitter::add_realization_rule(
 
   std::vector<sat::lit> choice;
   choice.reserve(paths.size());
-  for (const lattice::path* path : paths) {
+  for (const path_cells path : paths) {
     const sat::lit real = sat::lit::make(out_.new_var());
     choice.push_back(real);
     std::vector<sat::lit> clause;
     // Every cell of the path maps within the allowed set.
-    for (const std::uint16_t cell : path->cells) {
+    for (const std::uint16_t cell : path) {
       clause.assign(1, ~real);
       for (const std::size_t j : allowed) {
         clause.push_back(layout_.map_lit(cell, j));
@@ -280,7 +279,7 @@ void lm_emitter::add_realization_rule(
     // Every literal of p is used by some cell of the path.
     for (const auto& idx : per_literal) {
       clause.assign(1, ~real);
-      for (const std::uint16_t cell : path->cells) {
+      for (const std::uint16_t cell : path) {
         for (const std::size_t j : idx) {
           clause.push_back(layout_.map_lit(cell, j));
         }
@@ -298,10 +297,10 @@ void lm_emitter::emit_degree_rules() {
 
   std::uint64_t aux_estimate = 0;
   const auto paths_with = [&](auto pred) {
-    std::vector<const lattice::path*> out;
-    for (const lattice::path& p : *side_paths_) {
-      if (pred(p.length())) {
-        out.push_back(&p);
+    std::vector<path_cells> out;
+    for (const path_cells p : *side_paths_) {
+      if (pred(static_cast<int>(p.size()))) {
+        out.push_back(p);
       }
     }
     return out;
@@ -334,10 +333,10 @@ void lm_emitter::emit_strict_rules() {
   std::uint64_t aux_estimate = 0;
   for (const bf::cube& p : side_sop_->cubes()) {
     const int len = p.num_literals();
-    std::vector<const lattice::path*> paths;
-    for (const lattice::path& path : *side_paths_) {
-      if (path.length() >= len) {
-        paths.push_back(&path);
+    std::vector<path_cells> paths;
+    for (const path_cells path : *side_paths_) {
+      if (static_cast<int>(path.size()) >= len) {
+        paths.push_back(path);
       }
     }
     aux_estimate += paths.size();

@@ -161,7 +161,7 @@ class lm_emitter {
 
  private:
   void add_realization_rule(const bf::cube& p,
-                            const std::vector<const lattice::path*>& paths,
+                            const std::vector<lattice::path_cells>& paths,
                             bool allow_one);
   void emit_degree_rules();
   void emit_strict_rules();
@@ -179,7 +179,7 @@ class lm_emitter {
   // Side-resolved views.
   const bf::truth_table* side_function_ = nullptr;
   const bf::cover* side_sop_ = nullptr;
-  const std::vector<lattice::path>* side_paths_ = nullptr;
+  const lattice::path_list* side_paths_ = nullptr;
 
   std::vector<sat::lit> clause_buffer_;
 };

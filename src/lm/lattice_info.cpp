@@ -1,34 +1,46 @@
 #include "lm/lattice_info.hpp"
 
-#include <algorithm>
-
 namespace janus::lm {
+
+path_family::path_family(const lattice::dims& d, lattice::connectivity conn,
+                         std::size_t max_paths)
+    : d_(d), conn_(conn), lazy_(std::make_shared<lazy_cells>()) {
+  lattice::enumerate_paths(d, conn, [&](const lattice::path& p) {
+    ++count_;
+    total_cells_ += p.cells.size();
+    if (length_counts_.size() <= p.cells.size()) {
+      length_counts_.resize(p.cells.size() + 1, 0);
+    }
+    ++length_counts_[p.cells.size()];
+    return count_ <= max_paths;
+  });
+}
+
+const lattice::path_list& path_family::cells() const {
+  JANUS_CHECK_MSG(lazy_ != nullptr, "no paths counted for this view");
+  std::call_once(lazy_->once, [this] {
+    lazy_->paths = lattice::list_paths(d_, conn_);
+    JANUS_CHECK(lazy_->paths.size() == count_);
+    lazy_->done.store(true);
+  });
+  return lazy_->paths;
+}
 
 namespace {
 
 void build_info(lattice_info& info, const lattice::dims& d,
                 std::size_t max_paths) {
   info.d = d;
-  auto p4 = lattice::collect_paths(d, lattice::connectivity::four_top_bottom,
-                                   max_paths);
-  auto p8 = lattice::collect_paths(d, lattice::connectivity::eight_left_right,
-                                   max_paths);
-  if (!p4.has_value() || !p8.has_value()) {
+  // Count both views even when the first is already over the cap.
+  info.paths_4tb = path_family(d, lattice::connectivity::four_top_bottom,
+                               max_paths);
+  info.paths_8lr = path_family(d, lattice::connectivity::eight_left_right,
+                               max_paths);
+  if (info.paths_4tb.size() > max_paths || info.paths_8lr.size() > max_paths) {
     info.oversized = true;
-    return;
+    info.paths_4tb = path_family();
+    info.paths_8lr = path_family();
   }
-  info.paths_4tb = std::move(*p4);
-  info.paths_8lr = std::move(*p8);
-  info.lengths_4tb_desc.reserve(info.paths_4tb.size());
-  for (const auto& p : info.paths_4tb) {
-    info.lengths_4tb_desc.push_back(p.length());
-  }
-  info.lengths_8lr_desc.reserve(info.paths_8lr.size());
-  for (const auto& p : info.paths_8lr) {
-    info.lengths_8lr_desc.push_back(p.length());
-  }
-  std::sort(info.lengths_4tb_desc.rbegin(), info.lengths_4tb_desc.rend());
-  std::sort(info.lengths_8lr_desc.rbegin(), info.lengths_8lr_desc.rend());
 }
 
 }  // namespace
@@ -52,9 +64,29 @@ const lattice_info& lattice_info_cache::get(const lattice::dims& d) {
     util::lock_guard lock(mutex_);
     entry = entries_.try_emplace(key, std::move(fresh)).first->second;
   }
-  // Enumerate outside the map lock so distinct dimensions build in parallel.
-  std::call_once(entry->once, [&] { build_info(entry->info, d, max_paths_); });
+  // Count outside the map lock so distinct dimensions build in parallel.
+  std::call_once(entry->once, [&] {
+    build_info(entry->info, d, max_paths_);
+    entry->built.store(true);
+  });
   return entry->info;
+}
+
+std::uint64_t lattice_info_cache::materialized_cells() const {
+  util::lock_guard lock(mutex_);
+  std::uint64_t cells = 0;
+  for (const auto& [key, entry] : entries_) {
+    if (!entry->built.load()) {
+      continue;
+    }
+    for (const path_family* view :
+         {&entry->info.paths_4tb, &entry->info.paths_8lr}) {
+      if (view->materialized()) {
+        cells += view->total_cells();
+      }
+    }
+  }
+  return cells;
 }
 
 }  // namespace janus::lm

@@ -1,22 +1,27 @@
 #include "lm/structural.hpp"
 
-#include <algorithm>
-
 namespace janus::lm {
 
-bool lengths_dominate(const std::vector<int>& lattice_desc,
+bool lengths_dominate(const std::vector<std::uint32_t>& length_counts,
                       const bf::cover& target_products) {
-  std::vector<int> need;
-  need.reserve(target_products.num_cubes());
+  // Matching longest first succeeds iff, for every length L, the products
+  // needing at least L literals do not outnumber the paths of length >= L.
+  std::vector<std::uint64_t> need(length_counts.size(), 0);
   for (const bf::cube& c : target_products.cubes()) {
-    need.push_back(c.num_literals());
+    const auto len = static_cast<std::size_t>(c.num_literals());
+    if (len >= need.size()) {
+      need.resize(len + 1, 0);
+    }
+    ++need[len];
   }
-  std::sort(need.rbegin(), need.rend());
-  if (need.size() > lattice_desc.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < need.size(); ++i) {
-    if (lattice_desc[i] < need[i]) {
+  std::uint64_t needed = 0;
+  std::uint64_t available = 0;
+  for (std::size_t len = need.size(); len-- > 0;) {
+    needed += need[len];
+    if (len < length_counts.size()) {
+      available += length_counts[len];
+    }
+    if (needed > available) {
       return false;
     }
   }
@@ -28,8 +33,8 @@ bool structural_check(const target_spec& target, const lattice_info& info) {
     // Too many paths to reason about; never exclude structurally.
     return true;
   }
-  return lengths_dominate(info.lengths_4tb_desc, target.sop()) &&
-         lengths_dominate(info.lengths_8lr_desc, target.dual_sop());
+  return lengths_dominate(info.paths_4tb.length_counts(), target.sop()) &&
+         lengths_dominate(info.paths_8lr.length_counts(), target.dual_sop());
 }
 
 }  // namespace janus::lm

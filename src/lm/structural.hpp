@@ -14,10 +14,12 @@
 
 namespace janus::lm {
 
-/// Sorted-descending greedy matching: every target product length must be
-/// dominated by a distinct lattice product length.
-[[nodiscard]] bool lengths_dominate(const std::vector<int>& lattice_desc,
-                                    const bf::cover& target_products);
+/// Greedy matching: every target product length must be dominated by a
+/// distinct lattice product length. `length_counts[L]` is the number of
+/// lattice products (paths) of length L.
+[[nodiscard]] bool lengths_dominate(
+    const std::vector<std::uint32_t>& length_counts,
+    const bf::cover& target_products);
 
 /// Full structural check for the target on an m×n lattice (both views).
 [[nodiscard]] bool structural_check(const target_spec& target,

@@ -113,6 +113,7 @@ std::size_t fair_queue::depth() const {
 synthesis_service::synthesis_service(service_options options)
     : options_(std::move(options)),
       lattice_info_(options_.base.max_paths),
+      race_pool_(backend::backend_names().size()),
       queue_(options_.queue_capacity) {
   if (!options_.cache_path.empty()) {
     try {
@@ -325,14 +326,15 @@ void synthesis_service::run_job(queued_job job) {
   exec::cancel_source job_cancel(drain_cancel_.token());
   // Each output runs as one synthesize_batch shard at jobs=1 over the shared
   // caches, so sizes are bit-identical to a direct batch run over the same
-  // store.
-  const exec::context ctx{nullptr, job_cancel.token()};
+  // store. A portfolio race runs its backends on the daemon's race pool.
+  exec::context ctx{nullptr, job_cancel.token()};
   synth::janus_options base = options_.base;
   base.solutions = &store_;
   base.lattice_info = &lattice_info_;
   std::vector<std::string> backends;
   if (job.req.backend == "portfolio") {
     backends = backend::backend_names();
+    ctx.pool = &race_pool_;
   } else if (!job.req.backend.empty()) {
     backends = {job.req.backend};
   }

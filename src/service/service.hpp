@@ -16,8 +16,8 @@
 //   fair_queue ── round-robin across clients ──► worker threads
 //                                                    │
 //   one shared solution_cache + lattice_info_cache ◄─┤ synthesize_target
-//   per-request deadline + drain cancellation tree ◄─┘ (the batch shard, one
-//                                                      target at a time —
+//   per-request deadline + drain cancellation tree ◄─┤ (the batch shard, one
+//   one race pool for portfolio requests ◄───────────┘  target at a time —
 //                                                      bit-identical to
 //                                                      synthesize_batch)
 //
@@ -49,6 +49,7 @@
 
 #include "cache/solution_cache.hpp"
 #include "exec/cancellation.hpp"
+#include "exec/thread_pool.hpp"
 #include "lm/lattice_info.hpp"
 #include "service/protocol.hpp"
 #include "synth/batch.hpp"
@@ -134,7 +135,8 @@ struct service_options {
   std::string cache_path;
   /// Per-target engine configuration. `exec`, `solutions` and
   /// `lattice_info` are overridden per request (shared caches, per-request
-  /// cancellation, no pool); everything else applies as-is.
+  /// cancellation, the race pool for portfolio requests and no pool
+  /// otherwise); everything else applies as-is.
   synth::janus_options base;
   /// Test hook: runs on the worker thread right after a synth job is
   /// dequeued — before the job is counted in-flight and before any
@@ -234,6 +236,10 @@ class synthesis_service {
   service_options options_;
   cache::solution_cache store_;
   lm::lattice_info_cache lattice_info_;
+  /// One worker per backend, created at start-up and shared by every
+  /// portfolio request's race (the race's caller helps run its own ranks,
+  /// so concurrent requests cannot starve each other).
+  exec::thread_pool race_pool_;
   fair_queue queue_;
   exec::cancel_source drain_cancel_;
 

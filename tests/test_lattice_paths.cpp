@@ -7,6 +7,7 @@
 // connectivity-evaluated ISOP on small grids.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "bf/cover.hpp"
@@ -163,12 +164,28 @@ TEST(Paths, ProductsEqualConnectivityIsop) {
   }
 }
 
-TEST(Paths, CollectRespectsTheCap) {
-  EXPECT_FALSE(collect_paths({5, 5}, connectivity::four_top_bottom, 10)
-                   .has_value());
-  const auto all = collect_paths({3, 3}, connectivity::four_top_bottom, 100);
-  ASSERT_TRUE(all.has_value());
-  EXPECT_EQ(all->size(), 9u);
+TEST(Paths, ListStoresEnumerationOrderFlat) {
+  for (const dims d : {dims{3, 3}, dims{2, 5}, dims{4, 3}}) {
+    for (const connectivity conn :
+         {connectivity::four_top_bottom, connectivity::eight_left_right}) {
+      std::vector<std::vector<std::uint16_t>> expected;
+      std::size_t cells = 0;
+      enumerate_paths(d, conn, [&](const path& p) {
+        expected.push_back(p.cells);
+        cells += p.cells.size();
+        return true;
+      });
+      const path_list list = list_paths(d, conn);
+      ASSERT_EQ(list.size(), expected.size()) << d.str();
+      EXPECT_EQ(list.total_cells(), cells) << d.str();
+      std::size_t i = 0;
+      for (const path_cells p : list) {
+        EXPECT_TRUE(std::ranges::equal(p, expected[i])) << d.str() << " #" << i;
+        ++i;
+      }
+      EXPECT_EQ(i, expected.size());
+    }
+  }
 }
 
 TEST(Paths, VisitorCanAbort) {

@@ -13,6 +13,7 @@
 #include "lm/reach_encoding.hpp"
 #include "lm/structural.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace janus::lm {
 namespace {
@@ -46,12 +47,50 @@ TEST(TargetSpec, ConstantsAreFlagged) {
 
 TEST(Structural, LengthDomination) {
   // Paths of lengths 4,3,3 dominate products of lengths 3,3 but not 4,4.
-  const std::vector<int> lattice_desc = {4, 3, 3};
-  EXPECT_TRUE(lengths_dominate(lattice_desc, bf::cover::parse(4, "abc + bcd")));
+  const std::vector<std::uint32_t> length_counts = {0, 0, 0, 2, 1};
+  EXPECT_TRUE(
+      lengths_dominate(length_counts, bf::cover::parse(4, "abc + bcd")));
   EXPECT_FALSE(
-      lengths_dominate(lattice_desc, bf::cover::parse(4, "abcd + a'b'c'd'")));
+      lengths_dominate(length_counts, bf::cover::parse(4, "abcd + a'b'c'd'")));
   EXPECT_FALSE(lengths_dominate(
-      lattice_desc, bf::cover::parse(4, "ab + cd + a'b' + c'd'")));  // count
+      length_counts, bf::cover::parse(4, "ab + cd + a'b' + c'd'")));  // count
+}
+
+TEST(Structural, LengthDominationMatchesTheSortedPairing) {
+  // The histogram walk must agree with pairing both length lists sorted
+  // descending, position by position.
+  rng r(25);
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<std::uint32_t> length_counts;
+    std::vector<int> paths;
+    for (std::size_t k = r.next_below(6); k > 0; --k) {
+      const std::size_t len = 1 + r.next_below(6);
+      if (length_counts.size() <= len) {
+        length_counts.resize(len + 1, 0);
+      }
+      ++length_counts[len];
+      paths.push_back(static_cast<int>(len));
+    }
+    bf::cover products(8);
+    std::vector<int> need;
+    for (std::size_t k = 1 + r.next_below(5); k > 0; --k) {
+      bf::cube c;
+      const int len = 1 + static_cast<int>(r.next_below(7));
+      for (int v = 0; v < len; ++v) {
+        c.add_literal(v, r.next_below(2) == 0);
+      }
+      products.add(c);
+      need.push_back(len);
+    }
+    std::sort(paths.rbegin(), paths.rend());
+    std::sort(need.rbegin(), need.rend());
+    bool paired = need.size() <= paths.size();
+    for (std::size_t i = 0; paired && i < need.size(); ++i) {
+      paired = paths[i] >= need[i];
+    }
+    EXPECT_EQ(lengths_dominate(length_counts, products), paired)
+        << products.str();
+  }
 }
 
 TEST(Structural, PaperRejectionExamples) {

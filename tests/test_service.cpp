@@ -398,13 +398,14 @@ const std::vector<std::string>& drain_tables() {
 }
 
 /// Submit one request per drain table (routed to `backend` when non-empty)
-/// to a fresh single-worker service without deadlines, drain it, and collect
-/// each request's only output, in table order.
+/// to a fresh service with `workers` workers and no deadlines, drain it, and
+/// collect each request's only output, in table order.
 void drain_outputs(const std::string& backend, std::vector<json_value>& outputs,
-                   service_stats& stats) {
+                   service_stats& stats, int workers = 1) {
   const std::vector<std::string>& tables = drain_tables();
   response_sink sink;
   service_options options = quick_options();
+  options.workers = workers;
   options.default_deadline_s = 0.0;  // unlimited, like the batch run
   synthesis_service svc(options);
   for (std::size_t k = 0; k < tables.size(); ++k) {
@@ -480,10 +481,10 @@ TEST(ServiceDrain, ResultsBitIdenticalToSynthesizeBatch) {
   EXPECT_EQ(s.cache_misses, reference.cache_misses);
 }
 
-TEST(ServiceDrain, PortfolioResultsMatchSynthesizeBatch) {
+void expect_portfolio_outputs_match_batch(int workers) {
   std::vector<json_value> outputs;
   service_stats s;
-  ASSERT_NO_FATAL_FAILURE(drain_outputs("portfolio", outputs, s));
+  ASSERT_NO_FATAL_FAILURE(drain_outputs("portfolio", outputs, s, workers));
   const synth::batch_result reference =
       drain_reference(janus::backend::backend_names());
   ASSERT_EQ(reference.portfolio.size(), outputs.size());
@@ -498,6 +499,17 @@ TEST(ServiceDrain, PortfolioResultsMatchSynthesizeBatch) {
     EXPECT_EQ(field_string(outputs[k], "unit"), win->realized->cost_unit())
         << "t" << k;
   }
+}
+
+TEST(ServiceDrain, PortfolioResultsMatchSynthesizeBatch) {
+  expect_portfolio_outputs_match_batch(/*workers=*/1);
+}
+
+TEST(ServiceDrain, ConcurrentPortfolioJobsShareTheRacePoolUnchanged) {
+  // Four workers race their requests on the daemon's one race pool at once;
+  // every reply must still equal the standalone race, which gets a pool of
+  // its own per target.
+  expect_portfolio_outputs_match_batch(/*workers=*/4);
 }
 
 // ---- warm restart -----------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bf/exact_min.hpp"
+#include "instances/table2.hpp"
 #include "synth/bounds.hpp"
 #include "synth/janus.hpp"
 #include "util/rng.hpp"
@@ -248,6 +249,19 @@ TEST(Bounds, EveryNonConstantTargetHasABoundInEveryBoundSet) {
     }
   }
   EXPECT_GE(checked, 6 * kTablesPerWidth);
+}
+
+TEST(Bounds, WideStandInKeepsItsBoundsWithoutMaterializingTheDsLadder) {
+  // 5xp1_3's DS row ladder counts the 2^k dual paths of 2xk lattices up to
+  // 2x16 (about two million cells) but encodes only a few small lattices,
+  // so the cache must hold few materialized cells while the bounds stay.
+  const target_spec t = instances::make_table2_instance("5xp1_3");
+  janus_synthesizer engine{janus_options{}};
+  const auto bounds = engine.compute_bounds(t, deadline::never());
+  EXPECT_EQ(bounds.lower_bound, 16);
+  ASSERT_NE(bounds.best(), nullptr);
+  EXPECT_EQ(bounds.best()->size(), 33);
+  EXPECT_LT(engine.cache().materialized_cells(), 50'000u);
 }
 
 TEST(Candidates, MaximalPairsOnly) {

@@ -543,14 +543,15 @@ int cmd_compare(const cli_config& cfg) {
 }
 
 int cmd_table1(const cli_config& cfg) {
-  // Strict parse (atoi maps garbage to 0); out-of-range input clamps like
-  // it always did.
+  // Strict parse (atoi maps garbage to 0); out-of-range input clamps to
+  // the paper's 2..8. Beyond 8 the path counts, and the time to count
+  // them, grow about 77-fold per step.
   int max = 8;
   if (!cfg.positional.empty()) {
     max = janus::parse_int(cfg.positional[0], -1'000'000, 1'000'000)
               .value_or(8);
   }
-  max = std::max(2, std::min(max, 10));
+  max = std::max(2, std::min(max, 8));
   for (int m = 2; m <= max; ++m) {
     for (int n = 2; n <= max; ++n) {
       std::printf("%10llu/%llu",
