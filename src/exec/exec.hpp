@@ -14,10 +14,10 @@
 //
 // Who owns a pool: the entry point that owns the worker count
 // (`synthesize_batch` through `batch_options::jobs`, the CLI through `-j`),
-// janusd, which creates one race pool at start-up for every portfolio
-// request, and a standalone portfolio race, which run_portfolio gives one
-// worker per backend when the caller passes none. Every other layer borrows
-// `pool`.
+// janusd and a jobs=1 portfolio batch, which each create one race pool for
+// all their portfolio races, and a standalone portfolio race, which
+// run_portfolio gives one worker per backend when the caller passes none.
+// Every other layer borrows `pool`.
 // `pool == nullptr` runs every layer's fan-out inline on the calling thread,
 // in rank order (a null-pool task_group), not a separate sequential path.
 #pragma once

@@ -171,22 +171,6 @@ void blit(lattice_mapping& host, const lattice_mapping& block, int r0, int c0) {
   }
 }
 
-lattice_mapping concat_with_column(const lattice_mapping& a,
-                                   const lattice_mapping& b, cell_assign sep) {
-  JANUS_CHECK(a.num_target_vars() == b.num_target_vars());
-  const int rows = std::max(a.grid().rows, b.grid().rows);
-  const lattice_mapping pa = a.padded_to_rows(rows);
-  const lattice_mapping pb = b.padded_to_rows(rows);
-  lattice_mapping out(dims{rows, pa.grid().cols + 1 + pb.grid().cols},
-                      a.num_target_vars());
-  blit(out, pa, 0, 0);
-  for (int r = 0; r < rows; ++r) {
-    out.set(r, pa.grid().cols, sep);
-  }
-  blit(out, pb, 0, pa.grid().cols + 1);
-  return out;
-}
-
 multi_lattice_mapping multi_lattice_mapping::merge(
     const std::vector<lattice_mapping>& parts) {
   JANUS_CHECK(!parts.empty());

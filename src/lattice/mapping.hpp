@@ -125,14 +125,6 @@ class lattice_mapping {
 /// Place `block` into `host` with its top-left cell at (r0, c0).
 void blit(lattice_mapping& host, const lattice_mapping& block, int r0, int c0);
 
-/// [a | sep-column | b]: concatenate side by side with one separator column of
-/// `sep` cells; both inputs are first padded to equal row count by duplicating
-/// their last row. With sep = 0 this is the paper's standard composition
-/// realizing f_a + f_b.
-[[nodiscard]] lattice_mapping concat_with_column(const lattice_mapping& a,
-                                                 const lattice_mapping& b,
-                                                 cell_assign sep);
-
 /// A multi-output lattice: one shared grid, one column range per output
 /// (ranges separated by isolation columns; output i is the top–bottom
 /// connectivity within its column span, as in JANUS-MF).
@@ -142,7 +134,9 @@ class multi_lattice_mapping {
 
   /// Build by concatenating per-output lattices with 0-isolation columns,
   /// padding all blocks to the maximum row count ("straight-forward" merge;
-  /// unspecified padding cells are constant 1 per the paper).
+  /// unspecified padding cells are constant 1 per the paper). The merged
+  /// grid of two parts is the paper's side-by-side composition realizing
+  /// f_a + f_b (DS, pcircuit-[9]).
   static multi_lattice_mapping merge(const std::vector<lattice_mapping>& parts);
 
   [[nodiscard]] const lattice_mapping& grid() const { return grid_; }

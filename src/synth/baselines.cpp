@@ -52,43 +52,28 @@ janus_result run_heuristic11(const target_spec& target,
   result.new_upper_bound = best_bound->size();
   result.ub_method = best_bound->method;
 
-  // Promising-candidate local search: from the bound solution, repeatedly
-  // try to drop a column at the same height, then a row (re-fitting columns);
-  // stop at the first size that yields no improvement.
+  // Promising-candidate local search: from the bound solution, drop columns
+  // at the same height while that fits, then drop a row, re-fitting up to
+  // the same total size; stop at the first height that does not fit.
+  const lm::lm_options& lm_options = engine.options().lm;
   lattice_mapping best = best_bound->mapping;
-  bool improved = true;
-  while (improved && !budget.expired()) {
-    improved = false;
+  while (true) {
+    // Same height: only narrowing, so the column range is never read.
+    best = *fit_at_height(target, best, best.grid().rows, 1, 0, engine.cache(),
+                          lm_options, budget, &result);
     const dims cur = best.grid();
-    std::vector<dims> promising;
-    if (cur.cols > 1) {
-      promising.push_back(dims{cur.rows, cur.cols - 1});
+    if (cur.rows == 1) {
+      break;
     }
-    if (cur.rows > 1) {
-      promising.push_back(dims{cur.rows - 1, cur.cols});
-      // When dropping a row, allow up to the same total size.
-      const int max_cols = (cur.rows * cur.cols - 1) / (cur.rows - 1);
-      for (int k = cur.cols + 1; k <= max_cols; ++k) {
-        promising.push_back(dims{cur.rows - 1, k});
-      }
+    std::optional<lattice_mapping> lower = fit_at_height(
+        target, best, cur.rows - 1, cur.cols, (cur.size() - 1) / (cur.rows - 1),
+        engine.cache(), lm_options, budget, &result);
+    if (!lower.has_value()) {
+      break;
     }
-    for (const dims& d : promising) {
-      if (d.size() >= best.size() || budget.expired()) {
-        continue;
-      }
-      stopwatch probe_clock;
-      const lm::lm_result r =
-          lm::solve_lm(target, engine.cache().get(d), o.lm, budget);
-      result.probes.push_back({d, r.status, probe_clock.seconds()});
-      result.sat_totals += r.solver;
-      if (r.status == lm::lm_status::realizable) {
-        best = *r.mapping;
-        improved = true;
-        break;
-      }
-    }
+    best = std::move(*lower);
   }
-  result.hit_time_limit = budget.expired();
+  result.hit_time_limit = budget.expired() || lm_options.cancel.cancelled();
   JANUS_CHECK(best.realizes(target.function()));
   result.solution = std::move(best);
   result.seconds = clock.seconds();
@@ -163,7 +148,7 @@ janus_result run_pcircuit9(const target_spec& target,
                                   /*negated=*/false);
   std::optional<lattice_mapping> combined;
   if (p0.has_value() && p1.has_value()) {
-    combined = concat_with_column(*p0, *p1, cell_assign::zero());
+    combined = lattice::multi_lattice_mapping::merge({*p0, *p1}).grid();
   } else if (p0.has_value()) {
     combined = *p0;
   } else if (p1.has_value()) {

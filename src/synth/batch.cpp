@@ -59,15 +59,20 @@ batch_result synthesize_batch(std::span<const lm::target_spec> targets,
                              ? deadline::in_seconds(options.total_time_limit_s)
                              : deadline::never();
 
+  // At jobs <= 1 the targets run inline, but a race of several backends
+  // still needs its workers: one race pool then serves every target's race
+  // (as in janusd) instead of each race starting its own.
+  const bool sharded = options.jobs > 1;
   std::unique_ptr<exec::thread_pool> pool;
-  if (options.jobs > 1) {
+  if (sharded || options.backends.size() > 1) {
     pool = std::make_unique<exec::thread_pool>(
-        static_cast<std::size_t>(options.jobs));
+        sharded ? static_cast<std::size_t>(options.jobs)
+                : options.backends.size());
   }
   const exec::context ctx{pool.get(), options.base.exec.cancel};
 
   {
-    exec::task_group group(pool.get());
+    exec::task_group group(sharded ? pool.get() : nullptr);
     for (std::size_t i = 0; i < targets.size(); ++i) {
       group.run([&, i] {
         // Per-target deadline, clipped by whatever remains of the batch

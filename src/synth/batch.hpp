@@ -73,7 +73,8 @@ struct batch_options {
   std::vector<std::string> backends;
 
   /// Pool width shared by target sharding, probe fan-out and portfolio
-  /// races.
+  /// races. At jobs <= 1 targets run inline; a race of several backends
+  /// then runs on one batch-wide pool of one worker per backend.
   int jobs = 1;
 
   /// Overall wall-clock budget; <= 0 means unlimited. Targets that start

@@ -12,6 +12,7 @@ namespace janus::synth {
 using lattice::cell_assign;
 using lattice::dims;
 using lattice::lattice_mapping;
+using lattice::multi_lattice_mapping;
 using lm::target_spec;
 
 std::vector<dims> lattice_candidates(int max_area) {
@@ -47,8 +48,49 @@ std::vector<dims> lattice_candidates(int max_area) {
   return maximal;
 }
 
+std::optional<lattice_mapping> fit_at_height(
+    const target_spec& target, const lattice_mapping& part, int rows,
+    int first_col, int last_col, lm::lattice_info_cache& cache,
+    const lm::lm_options& lm_options, deadline budget, janus_result* record) {
+  const auto stopped = [&] {
+    return budget.expired() || lm_options.cancel.cancelled();
+  };
+  const auto solve = [&](int cols) {
+    stopwatch clock;
+    lm::lm_result r =
+        lm::solve_lm(target, cache.get(dims{rows, cols}), lm_options, budget);
+    if (record != nullptr) {
+      record->probes.push_back({dims{rows, cols}, r.status, clock.seconds()});
+      record->sat_totals += r.solver;
+    }
+    return r;
+  };
+  if (part.grid().rows > rows) {
+    // Taller part: widen until it fits at the reduced height.
+    for (int k = first_col; k <= last_col && !stopped(); ++k) {
+      lm::lm_result r = solve(k);
+      if (r.status == lm::lm_status::realizable) {
+        return std::move(r.mapping);
+      }
+    }
+    return std::nullopt;
+  }
+  // Short enough: pad it, then narrow it while the narrower lattice fits.
+  lattice_mapping found = part.padded_to_rows(rows);
+  for (int k = part.grid().cols - 1; k >= 1 && !stopped(); --k) {
+    lm::lm_result r = solve(k);
+    if (r.status != lm::lm_status::realizable) {
+      break;
+    }
+    found = std::move(*r.mapping);
+  }
+  return found;
+}
+
 janus_synthesizer::janus_synthesizer(janus_options options)
-    : options_(options), cache_(options.max_paths) {}
+    : options_(std::move(options)), cache_(options_.max_paths) {
+  options_.lm.cancel = options_.exec.cancel;
+}
 
 const bound_solution* janus_synthesizer::bounds_report::best() const {
   const bound_solution* out = nullptr;
@@ -90,17 +132,13 @@ janus_synthesizer::bounds_report janus_synthesizer::compute_bounds(
       report.methods.push_back(std::move(*sol));
     }
   };
-  // External cancellation must reach the constructions' embedded LM solves
-  // too, or a Ctrl-C during the bounds phase waits out their SAT budgets.
-  lm::lm_options bound_lm = options_.lm;
-  bound_lm.cancel = options_.exec.cancel;
   const auto cancelled = [&] { return options_.exec.cancel.cancelled(); };
   consider(build_dp(target));
   consider(build_ps(target));
   consider(build_dps(target));
   const upper_bounds set = options_.bound_set;
   if (set != upper_bounds::oub && !cancelled()) {
-    consider(build_ips(target, cache(), bound_lm, budget));
+    consider(build_ips(target, cache(), options_.lm, budget));
   }
   if (set != upper_bounds::oub && !cancelled()) {
     consider(build_idps(target, budget));
@@ -156,7 +194,6 @@ std::optional<lattice_mapping> janus_synthesizer::probe_step(
   std::vector<probe_outcome> outcomes(n);
   std::vector<std::uint8_t> probed(n, 0);
   lm::lm_options lm_options = options_.lm;
-  lm_options.cancel = options_.exec.cancel;  // aborts in-flight solves
   lm_options.sessions = &sessions;
 
   // Core-guided pruning: candidates dominated by the session pool's UNSAT
@@ -373,79 +410,47 @@ std::optional<bound_solution> janus_synthesizer::divide_and_synthesize(
   lattice_mapping part_h = *child.run(ht).solution;
 
   lattice_mapping combined =
-      concat_with_column(part_g, part_h, cell_assign::zero());
+      multi_lattice_mapping::merge({part_g, part_h}).grid();
   if (!combined.realizes(target.function())) {
     return std::nullopt;  // composition invariant violated (degenerate case)
   }
 
-  // Step 3: explore alternative realizations with fewer rows. The row
-  // ladder probes each sub-function on a sequence of related dims — the
-  // session sweet spot — so each part gets its own incremental pool.
-  lm::lm_options probe_options = options_.lm;
-  probe_options.sat_time_limit_s =
-      std::min(probe_options.sat_time_limit_s, 20.0);
-  probe_options.cancel = options_.exec.cancel;  // Ctrl-C reaches the ladder
+  // Step 3: explore alternative realizations with fewer rows: re-fit both
+  // parts one row lower, widening a taller part while the composition stays
+  // smaller than the current one. The row ladder probes each sub-function
+  // on a sequence of related dims — the session sweet spot — so each part
+  // gets its own incremental pool.
+  lm::lm_options g_options = options_.lm;
+  g_options.sat_time_limit_s = std::min(g_options.sat_time_limit_s, 20.0);
+  lm::lm_options h_options = g_options;
   lm::lm_session_pool g_sessions(gt, options_.lm.encode, options_.lm.solver);
   lm::lm_session_pool h_sessions(ht, options_.lm.encode, options_.lm.solver);
-  int bc = combined.size();
-  int br = combined.grid().rows;
-  while (br > 2 && !budget.expired()) {
-    const int target_rows = br - 1;
-    bool improved = true;
-    std::optional<lattice_mapping> new_g;
-    std::optional<lattice_mapping> new_h;
-    for (lattice_mapping* part : {&part_g, &part_h}) {
-      const target_spec& spec = (part == &part_g) ? gt : ht;
-      probe_options.sessions =
-          (part == &part_g) ? &g_sessions : &h_sessions;
-      std::optional<lattice_mapping> found;
-      if (part->grid().rows > target_rows) {
-        // Taller part: widen until it fits at the reduced height.
-        for (int k = part->grid().cols;
-             target_rows * k < bc && !budget.expired(); ++k) {
-          const lm::lm_result r = lm::solve_lm(
-              spec, cache().get(dims{target_rows, k}), probe_options, budget);
-          if (r.status == lm::lm_status::realizable) {
-            found = r.mapping;
-            break;
-          }
-        }
-      } else {
-        // Already-short part: keep it, then try to narrow it.
-        found = part->padded_to_rows(target_rows);
-        for (int k = part->grid().cols - 1; k >= 1 && !budget.expired(); --k) {
-          const lm::lm_result r = lm::solve_lm(
-              spec, cache().get(dims{target_rows, k}), probe_options, budget);
-          if (r.status != lm::lm_status::realizable) {
-            break;
-          }
-          found = r.mapping;
-        }
-      }
-      if (!found.has_value()) {
-        improved = false;
-        break;
-      }
-      ((part == &part_g) ? new_g : new_h) = std::move(found);
+  g_options.sessions = &g_sessions;
+  h_options.sessions = &h_sessions;
+  while (combined.grid().rows > 2 && !budget.expired()) {
+    const int rows = combined.grid().rows - 1;
+    const int last_col = (combined.size() - 1) / rows;
+    std::optional<lattice_mapping> new_g =
+        fit_at_height(gt, part_g, rows, part_g.grid().cols, last_col, cache(),
+                      g_options, budget);
+    if (!new_g.has_value()) {
+      break;
     }
-    if (!improved) {
+    std::optional<lattice_mapping> new_h =
+        fit_at_height(ht, part_h, rows, part_h.grid().cols, last_col, cache(),
+                      h_options, budget);
+    if (!new_h.has_value()) {
       break;
     }
     lattice_mapping candidate =
-        concat_with_column(*new_g, *new_h, cell_assign::zero());
-    if (candidate.size() >= bc ||
+        multi_lattice_mapping::merge({*new_g, *new_h}).grid();
+    if (candidate.size() >= combined.size() ||
         !candidate.realizes(target.function())) {
       break;
     }
     part_g = std::move(*new_g);
     part_h = std::move(*new_h);
     combined = std::move(candidate);
-    bc = combined.size();
-    br = combined.grid().rows;
-  }
-
-  if (!combined.realizes(target.function())) {
-    return std::nullopt;
   }
   return bound_solution{"DS", std::move(combined)};
 }

@@ -39,7 +39,8 @@ enum class upper_bounds {
 };
 
 struct janus_options {
-  lm::lm_options lm;                  ///< per-LM-call options (SAT limit etc.)
+  lm::lm_options lm;                  ///< per-LM-call options (SAT limit etc.;
+                                      ///< the engine sets `cancel`)
   double time_limit_s = 6.0 * 3600.0; ///< overall budget (paper: 6h CPU)
   std::size_t max_paths = 200'000;    ///< per-lattice path cap
 
@@ -83,8 +84,12 @@ struct janus_result {
   std::string ub_method;    ///< method that produced nub
   double seconds = 0.0;
   bool hit_time_limit = false;
+  /// The probes of this result's own ladder: run()'s dichotomic steps, or
+  /// heur11's candidate search. The DS row ladder and the JANUS-MF height
+  /// sweep fit through fit_at_height without a record, so run() reports
+  /// exactly the probes a replay of its ladder re-solves.
   std::vector<probe_record> probes;
-  /// SAT counters summed over every dichotomic probe.
+  /// SAT counters summed over the probes above (same scope).
   sat::solver_stats sat_totals;
   /// Dichotomic-ladder probes answered from the UNSAT frontier without
   /// solving. Counts the run-level pool only — like
@@ -112,8 +117,23 @@ struct janus_result {
 /// the winning candidate, so results are independent of completion order.
 [[nodiscard]] std::vector<lattice::dims> lattice_candidates(int max_area);
 
+/// Fit `part`'s function at height `rows` (the DS row ladder, the JANUS-MF
+/// height sweep and heur11's candidate search). A part at most `rows` tall
+/// is padded to `rows`, then narrowed from its column count − 1 downward
+/// while the narrower lattice is realizable. A taller part takes the first
+/// realizable width k in [first_col, last_col], else nullopt. No probe
+/// starts once `budget` expires or `lm_options.cancel` fires. With `record`
+/// set, every probe is appended to its `probes` and `sat_totals`.
+[[nodiscard]] std::optional<lattice::lattice_mapping> fit_at_height(
+    const lm::target_spec& target, const lattice::lattice_mapping& part,
+    int rows, int first_col, int last_col, lm::lattice_info_cache& cache,
+    const lm::lm_options& lm_options, deadline budget,
+    janus_result* record = nullptr);
+
 class janus_synthesizer {
  public:
+  /// `options.lm.cancel` is replaced by `options.exec.cancel`, so every LM
+  /// call the engine makes stops with its run.
   explicit janus_synthesizer(janus_options options = {});
 
   /// Run the full pipeline on one target.

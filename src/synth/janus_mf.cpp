@@ -5,8 +5,6 @@
 
 namespace janus::synth {
 
-using lattice::cell_assign;
-using lattice::dims;
 using lattice::lattice_mapping;
 using lattice::multi_lattice_mapping;
 using lm::target_spec;
@@ -68,6 +66,7 @@ janus_mf_result run_janus_mf(const std::vector<target_spec>& targets,
   lm::lm_options probe_options = options.lm;
   probe_options.sat_time_limit_s =
       std::min(probe_options.sat_time_limit_s, 30.0);
+  probe_options.cancel = options.exec.cancel;  // no synthesizer sets it here
   // One incremental session pool per output, persistent across the whole
   // height sweep: every (rows, cols) probe of output i reuses the same
   // solvers and UNSAT frontier.
@@ -77,45 +76,26 @@ janus_mf_result run_janus_mf(const std::vector<target_spec>& targets,
     session_pools.push_back(std::make_unique<lm::lm_session_pool>(
         t, options.lm.encode, options.lm.solver));
   }
+  const auto stopped = [&] {
+    return budget.expired() || options.exec.cancel.cancelled();
+  };
   const int max_rows = result.straightforward.grid().grid().rows;
-  for (int rows = 2; rows < max_rows && !budget.expired(); ++rows) {
+  for (int rows = 2; rows < max_rows && !stopped(); ++rows) {
     std::vector<lattice_mapping> fitted;
     fitted.reserve(targets.size());
     bool feasible = true;
     int total_cols = static_cast<int>(targets.size()) - 1;
-    for (std::size_t i = 0; i < targets.size() && feasible; ++i) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
       const lattice_mapping& part = parts[i];
       probe_options.sessions = session_pools[i].get();
       std::optional<lattice_mapping> found;
-      if (result.output_time_limited[i]) {
-        if (part.grid().rows <= rows) {
-          found = part.padded_to_rows(rows);
-        }
+      if (!result.output_time_limited[i]) {
+        found = fit_at_height(targets[i], part, rows,
+                              std::max(1, part.size() / rows),
+                              (part.size() * 2) / rows + 2, shared_info,
+                              probe_options, budget);
       } else if (part.grid().rows <= rows) {
         found = part.padded_to_rows(rows);
-        // Try narrowing.
-        for (int k = found->grid().cols - 1; k >= 1 && !budget.expired(); --k) {
-          const lm::lm_result r = lm::solve_lm(
-              targets[i], shared_info.get(dims{rows, k}), probe_options,
-              budget);
-          if (r.status != lm::lm_status::realizable) {
-            break;
-          }
-          found = r.mapping;
-        }
-      } else {
-        // Shorter than before: widen until it fits.
-        const int max_cols = (part.size() * 2) / rows + 2;
-        for (int k = std::max(1, part.size() / rows);
-             k <= max_cols && !budget.expired(); ++k) {
-          const lm::lm_result r = lm::solve_lm(
-              targets[i], shared_info.get(dims{rows, k}), probe_options,
-              budget);
-          if (r.status == lm::lm_status::realizable) {
-            found = r.mapping;
-            break;
-          }
-        }
       }
       if (!found.has_value()) {
         feasible = false;
@@ -135,7 +115,7 @@ janus_mf_result run_janus_mf(const std::vector<target_spec>& targets,
     }
   }
   result.improved = std::move(best);
-  result.hit_time_limit = result.hit_time_limit || budget.expired();
+  result.hit_time_limit = result.hit_time_limit || stopped();
   result.total_seconds = total_clock.seconds();
   return result;
 }

@@ -21,8 +21,8 @@ struct janus_mf_result {
   double total_seconds = 0.0;
   /// Any output's Part-1 synthesis was budget-starved (its slot holds the
   /// best lattice that run verified in time, and Part 2 never re-solves it),
-  /// or the overall budget expired mid-run. The merged result is still
-  /// verified.
+  /// or the overall budget expired or the run was cancelled mid-run. The
+  /// merged result is still verified.
   bool hit_time_limit = false;
   /// Per-output: true when that output's Part-1 run was budget-starved.
   std::vector<bool> output_time_limited;

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "cache/solution_cache.hpp"
+#include "instances/table2.hpp"
+#include "instances/table3.hpp"
 #include "lm/reach_encoding.hpp"
 #include "synth/baselines.hpp"
 #include "synth/janus.hpp"
+#include "synth/janus_mf.hpp"
 #include "util/rng.hpp"
 
 namespace janus::synth {
@@ -191,6 +194,96 @@ TEST_P(Janus4VarOptimum, CompleteModeMatchesReachabilityOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Janus4VarOptimum,
                          ::testing::Values(211u, 212u, 213u, 214u));
+
+// --- fit_at_height: the DS row ladder, the JANUS-MF height sweep and
+// heur11's candidate search, pinned at jobs=1 so that any change to a
+// caller's probe order or column range shows up here.
+
+/// "5x5 S, 5x4 S, ..." for a probe log.
+std::string probe_sequence(const std::vector<probe_record>& probes) {
+  std::string out;
+  for (const probe_record& p : probes) {
+    out += (out.empty() ? "" : ", ") + p.d.str() +
+           (p.status == lm::lm_status::realizable ? " S" : " U");
+  }
+  return out;
+}
+
+exec::cancel_token cancelled_token() {
+  exec::cancel_source source;
+  source.request_cancel();
+  return source.token();
+}
+
+TEST(FitAtHeight, Heuristic11KeepsItsPromisingCandidateOrder) {
+  // Narrow at the current height, then fit one row lower up to the same
+  // size; the repeated 3x4 probe is part of the published order.
+  const target_spec t = instances::make_table2_instance("misex1_05");
+  const janus_result r = run_heuristic11(t, fast_options());
+  EXPECT_EQ(probe_sequence(r.probes),
+            "5x5 S, 5x4 S, 5x3 U, 4x4 S, 4x3 U, 3x4 U, 3x5 S, 3x4 U, 2x5 U, "
+            "2x6 U, 2x7 U");
+  EXPECT_EQ(r.solution_dims(), "3x5");
+  EXPECT_FALSE(r.hit_time_limit);
+
+  const target_spec dc1 = instances::make_table2_instance("dc1_03");
+  const janus_result d = run_heuristic11(dc1, fast_options());
+  EXPECT_EQ(probe_sequence(d.probes), "5x3 S, 5x2 U, 4x3 S, 4x2 U, 3x3 U");
+  EXPECT_EQ(d.solution_dims(), "4x3");
+  EXPECT_TRUE(d.solution->realizes(dc1.function()));
+}
+
+TEST(FitAtHeight, DivideAndSynthesizeKeepsItsRowLadder) {
+  for (const auto& [name, want] :
+       {std::pair<const char*, const char*>{"misex1_05", "3x8"},
+        {"dc1_03", "4x5"}}) {
+    const target_spec t = instances::make_table2_instance(name);
+    janus_synthesizer engine(fast_options());
+    const auto ds = engine.divide_and_synthesize(t, deadline::never(), 1);
+    ASSERT_TRUE(ds.has_value()) << name;
+    EXPECT_EQ(ds->mapping.grid().str(), want) << name;
+    EXPECT_TRUE(ds->mapping.realizes(t.function())) << name;
+  }
+}
+
+std::vector<target_spec> first_bw_outputs() {
+  std::vector<target_spec> targets = instances::make_table3_instance("bw");
+  targets.resize(4);
+  return targets;
+}
+
+TEST(FitAtHeight, JanusMfKeepsItsHeightSweep) {
+  const janus_mf_result r = run_janus_mf(first_bw_outputs(), fast_options());
+  EXPECT_EQ(r.straightforward.grid().grid().str(), "5x13");
+  EXPECT_EQ(r.improved.grid().grid().str(), "4x14");
+  EXPECT_FALSE(r.hit_time_limit);
+}
+
+TEST(Cancellation, JanusMfHeightSweepStopsOnCancel) {
+  // A warm store answers Part 1 without a ladder, so only Part 2 could
+  // still spend SAT work under the cancelled token.
+  const std::vector<target_spec> targets = first_bw_outputs();
+  cache::solution_cache store;
+  janus_options o = fast_options();
+  o.solutions = &store;
+  (void)run_janus_mf(targets, o);
+  o.exec.cancel = cancelled_token();
+  const janus_mf_result r = run_janus_mf(targets, o);
+  EXPECT_EQ(r.improved.grid().str(), r.straightforward.grid().str());
+  EXPECT_TRUE(r.hit_time_limit);
+}
+
+TEST(Cancellation, Heuristic11ProbesNothingOnceCancelled) {
+  janus_options o = fast_options();
+  o.exec.cancel = cancelled_token();
+  const target_spec t = instances::make_table2_instance("misex1_04");
+  const janus_result r = run_heuristic11(t, o);
+  EXPECT_EQ(r.sat_totals.conflicts, 0u);
+  EXPECT_TRUE(r.probes.empty());
+  EXPECT_TRUE(r.hit_time_limit);
+  ASSERT_TRUE(r.solution.has_value());
+  EXPECT_TRUE(r.solution->realizes(t.function()));
+}
 
 TEST(Candidates, LargeAreasAreCovered) {
   for (int area : {7, 13, 24, 36}) {

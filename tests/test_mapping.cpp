@@ -159,8 +159,7 @@ TEST(Mapping, ConcatWithZeroColumnComputesDisjunction) {
         r, dims{2 + static_cast<int>(r.next_below(3)), 2}, 3);
     const lattice_mapping b = random_mapping(
         r, dims{2 + static_cast<int>(r.next_below(3)), 2}, 3);
-    const lattice_mapping both =
-        concat_with_column(a, b, cell_assign::zero());
+    const lattice_mapping both = multi_lattice_mapping::merge({a, b}).grid();
     EXPECT_EQ(both.realized_function(),
               a.realized_function() | b.realized_function());
   }

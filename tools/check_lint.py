@@ -42,7 +42,12 @@ listing every violation:
       a ':' on the same line. Blanket `NOLINT` with no check or no reason is
       a violation; suppressions must be auditable.
 
-Comment and string contents are stripped before R1/R3/R4 matching, so prose
+  R8  In src/synth/, solve_lm( is called only by `probe` and
+      `fit_at_height` in janus.cpp and by the IPS construction in
+      bounds.cpp. Every ladder fits through one of those paths, so a new
+      loop cannot fork its own probe path or drop the run's cancel token.
+
+Comment and string contents are stripped before R1/R3/R4/R8 matching, so prose
 mentioning std::mutex does not trip the linter.
 
 Usage: python3 tools/check_lint.py [--root DIR] [--self-test]
@@ -76,6 +81,14 @@ BANNED_CALL_RE = re.compile(
     r"(?:std::)?\b(stoi|stol|stoll|stoul|stoull|atoi|atol|atoll|atof|srand)\s*\("
     r"|std::rand\s*\(|\brand\s*\(\s*\)"
 )
+
+SOLVE_LM_RE = re.compile(r"\bsolve_lm\s*\(")
+# File -> the functions that may call solve_lm (None: any function).
+R8_ALLOWED = {
+    "src/synth/janus.cpp": {"probe", "fit_at_height"},
+    "src/synth/bounds.cpp": None,
+}
+FUNCTION_HEAD_RE = re.compile(r"^[A-Za-z_].*?([A-Za-z_]\w*)\s*\(")
 
 NOLINT_RE = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?")
 NOLINT_OK_RE = re.compile(r"NOLINT(?:NEXTLINE)?\([a-zA-Z0-9_.\-, ]+\)\s*:\s*\S")
@@ -219,6 +232,28 @@ def check_nolint(rel: str, text: str) -> list[str]:
     return errors
 
 
+def check_probe_paths(rel: str, text: str) -> list[str]:
+    if not rel.startswith("src/synth/"):
+        return []
+    allowed = R8_ALLOWED.get(rel, set())
+    if allowed is None:
+        return []
+    errors = []
+    function = None
+    for line_no, line in enumerate(strip_comments_and_strings(text).splitlines(), 1):
+        # A definition starts in column 0; its name is the identifier
+        # before the first '(' (namespace and using lines have none).
+        head = FUNCTION_HEAD_RE.match(line)
+        if head:
+            function = head.group(1)
+        if SOLVE_LM_RE.search(line) and function not in allowed:
+            errors.append(
+                f"{rel}:{line_no}: R8 solve_lm( outside probe/fit_at_height "
+                "(src/synth/janus.cpp) — fit through fit_at_height"
+            )
+    return errors
+
+
 PER_FILE_CHECKS = [
     check_raw_locks,
     check_atomics,
@@ -226,6 +261,7 @@ PER_FILE_CHECKS = [
     check_banned_calls,
     check_bench_header,
     check_nolint,
+    check_probe_paths,
 ]
 
 
@@ -367,6 +403,37 @@ SELF_TEST_FIXTURES = [
         check_nolint,
         "src/fixture.cpp",
         "do_thing();  // NOLINT(bugprone-branch-clone): arms differ by docs\n",
+        False,
+    ),
+    (
+        "a synth loop with its own solve_lm",
+        check_probe_paths,
+        "src/synth/janus_mf.cpp",
+        "void sweep() {\n  const auto r = lm::solve_lm(t, info, o, budget);\n}\n",
+        True,
+    ),
+    (
+        "a second solve_lm in janus.cpp outside the probe paths",
+        check_probe_paths,
+        "src/synth/janus.cpp",
+        "std::optional<bound_solution> janus_synthesizer::divide(\n"
+        "    const target_spec& t) {\n  lm::solve_lm(t, info, o, budget);\n}\n",
+        True,
+    ),
+    (
+        "fit_at_height may call solve_lm",
+        check_probe_paths,
+        "src/synth/janus.cpp",
+        "std::optional<lattice_mapping> fit_at_height(\n    int rows) {\n"
+        "  const auto solve = [&](int cols) {\n"
+        "    return lm::solve_lm(t, info, o, budget);\n  };\n}\n",
+        False,
+    ),
+    (
+        "solve_lm in a comment",
+        check_probe_paths,
+        "src/synth/baselines.cpp",
+        "// probes go through fit_at_height, never solve_lm( directly\nint x;\n",
         False,
     ),
 ]
